@@ -1029,7 +1029,7 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve"
        ~doc:"Run the admission daemon: a durable, auditable admission service speaking \
-             the versioned JSONL protocol over a Unix or TCP socket.")
+             the versioned binary protocol over a Unix or TCP socket.")
     Term.(const run $ socket_t $ tcp_t $ policy_t $ store_dir_t $ store_batch_t
           $ store_kill_t $ max_frame_t $ metrics_port_t $ span_out_t $ span_format_t
           $ flight_t $ flight_size_t $ shards_t)
@@ -1059,19 +1059,13 @@ let loadgen_cmd =
   let acks_t =
     Arg.(value & opt (some string) None
          & info [ "acks" ] ~docv:"FILE"
-             ~doc:"Journal every received response payload to $(docv), one JSON line each \
-                   (verbatim wire bytes) — the kill-drill evidence file.")
+             ~doc:"Journal every received response to $(docv), one JSON object per line \
+                   (floats bit-exact) — the kill-drill evidence file.")
   in
   let tolerate_t =
     Arg.(value & flag
          & info [ "tolerate-disconnect" ]
              ~doc:"A dropped connection stops that client quietly instead of failing the run.")
-  in
-  let binary_t =
-    Arg.(value & flag
-         & info [ "binary" ]
-             ~doc:"Speak the binary frame form; the daemon notices from the first frame \
-                   and replies in kind.")
   in
   let bench_out_t =
     Arg.(value & opt (some string) None
@@ -1089,12 +1083,12 @@ let loadgen_cmd =
                    report and provenance move to stderr.")
   in
   let run socket tcp conns requests seed mean_ia slack cancel_every acks_path tolerate
-      binary bench_out shutdown json =
+      bench_out shutdown json =
     let transport = transport_of "loadgen" socket tcp in
     let acks = Option.map open_out acks_path in
     let cfg =
       Loadgen.default_config ~connections:conns ~requests ~seed ~mean_interarrival:mean_ia
-        ~max_slack:slack ~cancel_every ?acks ~binary ~tolerate_disconnect:tolerate transport
+        ~max_slack:slack ~cancel_every ?acks ~tolerate_disconnect:tolerate transport
     in
     let provenance =
       [ Provenance.seed seed; Provenance.int "requests" requests;
@@ -1135,7 +1129,7 @@ let loadgen_cmd =
        ~doc:"Drive a running admission daemon with a seeded closed-loop workload and \
              report throughput and latency percentiles.")
     Term.(const run $ socket_t $ tcp_t $ conns_t $ requests_t $ lg_seed_t $ mean_ia_t
-          $ slack_t $ cancel_t $ acks_t $ tolerate_t $ binary_t $ bench_out_t $ shutdown_t
+          $ slack_t $ cancel_t $ acks_t $ tolerate_t $ bench_out_t $ shutdown_t
           $ json_t)
 
 let main_cmd =

@@ -39,8 +39,6 @@ let span ctx name f =
   if not ctx.enabled then f ()
   else begin
     let h = Metrics.histogram ctx.metrics ("span_" ^ name ^ "_ns") in
-    let t0 = Unix.gettimeofday () in
-    Fun.protect
-      ~finally:(fun () -> Metrics.observe h ((Unix.gettimeofday () -. t0) *. 1e9))
-      f
+    let t0 = Span.now_ns () in
+    Fun.protect ~finally:(fun () -> Metrics.observe h (Span.now_ns () -. t0)) f
   end

@@ -4,10 +4,10 @@
    one pipeline and a flat layout keeps the binary form fixed-size and
    the flight-recorder scan trivial.
 
-   Timestamps come from {!now_ns}: [Unix.gettimeofday] clamped
-   non-decreasing (no monotonic-clock binding in the toolchain; the
-   clamp protects durations against small NTP steps, a leap backwards
-   larger than a span simply truncates that span to zero). *)
+   Durations come from {!now_ns}, the monotonic clock in nanoseconds
+   ([clock_gettime(CLOCK_MONOTONIC)]): fine enough to time a sub-µs
+   stage, and immune to wall-clock steps.  Only a span's open [time] is
+   wall-clock, so spans line up with other logs. *)
 
 module Codec = Gridbw_wire.Codec
 module Frame = Gridbw_wire.Frame
@@ -64,12 +64,7 @@ type t = {
 
 (* --- clock --- *)
 
-let last_ns = ref 0.
-
-let now_ns () =
-  let t = Unix.gettimeofday () *. 1e9 in
-  if t > !last_ns then last_ns := t;
-  !last_ns
+let now_ns () = Int64.to_float (Monotonic_clock.now ())
 
 (* --- lifecycle --- *)
 
@@ -77,16 +72,15 @@ let next_id = ref 0
 
 let start ~conn () =
   incr next_id;
-  let n = now_ns () in
   {
     id = !next_id;
     conn;
     req = None;
-    time = n /. 1e9;
+    time = Unix.gettimeofday ();
     total_ns = 0.;
     probes = 0;
     durs = Array.make stage_count 0.;
-    open_ns = n;
+    open_ns = now_ns ();
   }
 
 let make ~id ~conn ~req ~time ~total_ns ~probes ~durs =

@@ -6,10 +6,10 @@
     than a tree: the serve path has exactly one pipeline, and the flat
     layout keeps the binary form fixed-size for the flight recorder.
 
-    Clock: {!now_ns} is [Unix.gettimeofday] clamped non-decreasing —
-    the toolchain ships no monotonic-clock binding, so durations are
-    wall-clock and can only be truncated (never negative) by backwards
-    clock steps. *)
+    Clock: {!now_ns} is the monotonic clock (bechamel's
+    [Monotonic_clock], [CLOCK_MONOTONIC]) in nanoseconds, so durations
+    resolve sub-µs stages and never go negative; a span's {!time} is
+    wall-clock seconds. *)
 
 type stage =
   | Frame_decode  (** length-prefix / binary frame decoding *)
@@ -28,7 +28,7 @@ val stage_of_name : string -> stage option
 type t
 
 val now_ns : unit -> float
-(** Wall clock in nanoseconds, clamped non-decreasing process-wide. *)
+(** Monotonic clock in nanoseconds (arbitrary origin). *)
 
 val start : conn:int -> unit -> t
 (** Open a span with a fresh process-monotone trace id. *)

@@ -26,6 +26,15 @@ type config = {
   shards : int option;
 }
 
+(* [select] takes descriptors below FD_SETSIZE (1024) only.  The cap on
+   protocol connections leaves room for the listeners, the /metrics
+   connections, the store's files, the trace sinks and stdio. *)
+let max_connections = 960
+
+(* Concurrent /metrics scrapes.  The listener sits out of [select] while
+   this many are open; one accepted past it in the same round is closed. *)
+let max_scrapes = 16
+
 let default_config ?(policy = Policy.Fraction_of_max 0.8)
     ?(fabric = Fabric.paper_default ()) ?store_dir ?metrics_port ?span_out
     ?(span_binary = true) ?flight_recorder ?(flight_size = Flight.default_size)
@@ -81,6 +90,9 @@ type t = {
   mutable conns : conn list;
   mutable mconns : mconn list;
   mutable next_conn : int;
+  mutable accept_paused_until : float;
+      (* after EMFILE/ENFILE from accept: leave the listener out of
+         select until then, instead of spinning on it *)
   mutable stopping : bool;
 }
 
@@ -89,7 +101,6 @@ let admission t =
   | Direct adm -> adm
   | Pooled _ -> invalid_arg "Daemon.admission: sharded daemon has no direct Admission.t"
 
-let connections t = List.length t.conns
 let stop t = t.stopping <- true
 
 let backend_dirty = function
@@ -307,27 +318,50 @@ let create ?obs ?(log = fun _ -> ()) cfg =
                   conns = [];
                   mconns = [];
                   next_conn = 0;
+                  accept_paused_until = 0.;
                   stopping = false;
                 }))
 
 (* --- the event loop --- *)
 
-let peer_name = function
-  | Unix.ADDR_UNIX _ -> "unix"
-  | Unix.ADDR_INET (a, p) -> Printf.sprintf "%s:%d" (Unix.string_of_inet_addr a) p
+(* Out of descriptors: the pending connection stays in the backlog and
+   the listener sits out the next tick. *)
+let pause_accepting t = t.accept_paused_until <- Unix.gettimeofday () +. t.cfg.tick
+
+(* A connection past the cap gets one typed error frame, best effort, and
+   is closed at once. *)
+let refuse t fd =
+  Obs.count t.obs "serve_connections_refused_total";
+  let frame =
+    Frame.encode_binary
+      (Protocol.encode_response
+         (Protocol.Error
+            {
+              code = Protocol.Overloaded;
+              message =
+                Printf.sprintf "connection limit reached (%d open)" max_connections;
+            }))
+  in
+  (try
+     Unix.set_nonblock fd;
+     ignore (Unix.write_substring fd frame 0 (String.length frame))
+   with Unix.Unix_error _ -> ());
+  try Unix.close fd with Unix.Unix_error _ -> ()
 
 let rec accept_all t =
   match Unix.accept ~cloexec:true t.listener with
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_all t
-  | fd, addr ->
+  | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) -> pause_accepting t
+  | exception Unix.Unix_error (Unix.ECONNABORTED, _, _) -> accept_all t
+  | fd, _ when List.length t.conns >= max_connections ->
+      refuse t fd;
+      accept_all t
+  | fd, _ ->
       Unix.set_nonblock fd;
       let id = t.next_conn in
       t.next_conn <- id + 1;
-      let session =
-        Session.create ~max_frame:t.cfg.max_frame ~timed:t.tracing ~id
-          ~peer:(peer_name addr) ()
-      in
+      let session = Session.create ~max_frame:t.cfg.max_frame ~timed:t.tracing ~id () in
       Obs.count t.obs "serve_connections_total";
       t.conns <- t.conns @ [ { fd; session; eof = false } ];
       accept_all t
@@ -353,9 +387,8 @@ let rec read_conn c =
 
 let write_conn c =
   if Session.pending c.session then
-    let chunk = Session.out_chunk c.session in
-    match Unix.write_substring c.fd chunk 0 (String.length chunk) with
-    | n -> Session.wrote c.session n
+    match Session.write_out c.session (Unix.write c.fd) with
+    | () -> ()
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | exception
@@ -385,6 +418,11 @@ let rec accept_metrics t l =
   match Unix.accept ~cloexec:true l with
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_metrics t l
+  | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) -> pause_accepting t
+  | exception Unix.Unix_error (Unix.ECONNABORTED, _, _) -> accept_metrics t l
+  | fd, _ when List.length t.mconns >= max_scrapes ->
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      accept_metrics t l
   | fd, _ ->
       Unix.set_nonblock fd;
       t.mconns <- { mfd = fd; minbuf = ""; mout = ""; mdone = false; meof = false } :: t.mconns;
@@ -590,9 +628,17 @@ let sweep_closed t =
 
 let run t =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  Obs.set_gauge t.obs "serve_connections_limit" (float_of_int max_connections);
   while not t.stopping do
+    let listeners =
+      if Unix.gettimeofday () < t.accept_paused_until then []
+      else
+        t.listener
+        :: (if List.length t.mconns < max_scrapes then Option.to_list t.metrics_listener
+            else [])
+    in
     let read_fds =
-      (t.listener :: Option.to_list t.metrics_listener)
+      listeners
       @ List.map (fun m -> m.mfd) t.mconns
       @ List.map (fun c -> c.fd) t.conns
     in

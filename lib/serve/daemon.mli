@@ -11,6 +11,13 @@
     Responses on a connection are queued in request order, so clients may
     pipeline.
 
+    At most 960 protocol connections are open at once, below the
+    FD_SETSIZE (1024) limit of [select]; one more is accepted, sent a
+    typed [Overloaded] error frame, closed, and counted in
+    [serve_connections_refused_total] (the cap is the
+    [serve_connections_limit] gauge).  [/metrics] scrapes are capped at
+    16.  EMFILE/ENFILE from [accept] pause the listener for one tick.
+
     Startup with an existing [--store-dir] recovers via the
     {!Gridbw_store.Store.recover} path, audits against the reference
     model, re-books the surviving admissions bit-identically and resumes
@@ -63,7 +70,8 @@ val default_config :
   transport ->
   config
 (** Paper fabric, [Fraction_of_max 0.8] policy, default store config,
-    1 MiB frames, 100 ms tick; no metrics port, no tracing.  Tracing
+    1 MiB frames, 100 ms tick;
+    no metrics port, no tracing.  Tracing
     turns on when [span_out] or [flight_recorder] is set: each request
     then carries a {!Gridbw_obs.Span} through decode → parse → admit →
     WAL append → group-commit fsync → reply, feeding the
@@ -92,5 +100,3 @@ val stop : t -> unit
 
 val install_signal_handlers : t -> unit
 (** SIGTERM and SIGINT invoke {!stop}. *)
-
-val connections : t -> int

@@ -1,173 +1,80 @@
-(* Length-prefixed framing.  See frame.mli for the two wire forms. *)
+(* Binary framing of the serve protocol.  See frame.mli. *)
 
 module Wire_frame = Gridbw_wire.Frame
+module Codec = Gridbw_wire.Codec
 module Binio = Gridbw_wire.Binio
 
-type format = Text | Binary
-
-let format_name = function Text -> "text" | Binary -> "binary"
-
-type error =
-  | Oversized of int
-  | Malformed_length of string
-  | Missing_terminator
-  | Corrupt_frame of string
+type error = Oversized of int | Corrupt_frame of string
 
 let describe = function
   | Oversized n -> Printf.sprintf "oversized frame (%d bytes declared)" n
-  | Malformed_length what -> "malformed length prefix: " ^ what
-  | Missing_terminator -> "missing frame terminator (framing desynchronized)"
-  | Corrupt_frame what -> "corrupt binary frame: " ^ what
+  | Corrupt_frame what -> "corrupt frame: " ^ what
 
 let max_frame_default = 1024 * 1024
 
-(* A length field longer than this cannot describe any frame we would
-   accept (10 decimal digits > 1 GiB); treating it as malformed bounds
-   how much garbage a broken peer can make us buffer. *)
-let max_digits = 10
-
-(* Frame tag for serve-protocol payloads on the binary form; the event
-   codec owns 0x01 and the WAL 0x02. *)
-let binary_tag = 0x03
-
-let encode payload =
-  let b = Buffer.create (String.length payload + 16) in
-  Wire_frame.Line.encode b payload;
-  Buffer.contents b
+(* Frame tag for serve-protocol payloads; the event codec owns 0x01, the
+   WAL 0x02 and spans 0x04. *)
+let tag = 0x03
 
 let encode_binary payload =
   let b = Buffer.create (String.length payload + Wire_frame.overhead) in
-  Wire_frame.add b ~tag:binary_tag payload;
+  Wire_frame.add b ~tag payload;
   Buffer.contents b
 
-let encode_as = function Text -> encode | Binary -> encode_binary
+let foreign_tag t = Corrupt_frame (Printf.sprintf "unexpected frame tag %d" t)
 
-type decoder = {
-  max_frame : int;
-  mutable data : string;
-  mutable err : error option;
-  mutable last : format;  (* format of the last completed frame *)
-}
+type decoder = { max_frame : int; q : Byteq.t; mutable err : error option }
 
 let decoder ?(max_frame = max_frame_default) () =
-  { max_frame; data = ""; err = None; last = Text }
+  { max_frame; q = Byteq.create 4096; err = None }
 
-let feed d s = if String.length s > 0 then d.data <- d.data ^ s
-let buffered d = String.length d.data
-let last_format d = d.last
-
-let is_digit c = c >= '0' && c <= '9'
+let feed d s = Byteq.add_string d.q s
+let buffered d = Byteq.length d.q
 
 let fail d e =
   d.err <- Some e;
   Error e
 
-let next_text d s n =
-  let j = ref 0 in
-  while !j < n && is_digit s.[!j] do incr j done;
-  let j = !j in
-  if j > max_digits then fail d (Malformed_length "length field too long")
-  else if j >= n then Ok None (* possibly a truncated prefix: wait for more bytes *)
-  else if j = 0 then
-    fail d (Malformed_length (Printf.sprintf "expected a digit, got %C" s.[0]))
-  else if s.[j] <> ' ' then
-    fail d (Malformed_length (Printf.sprintf "expected ' ' after length, got %C" s.[j]))
-  else
-    let len = int_of_string (String.sub s 0 j) in
-    if len > d.max_frame then fail d (Oversized len)
-    else
-      let need = j + 1 + len + 1 in
-      if n < need then Ok None
-      else if s.[j + 1 + len] <> '\n' then fail d Missing_terminator
-      else begin
-        let payload = String.sub s (j + 1) len in
-        d.data <- String.sub s need (n - need);
-        d.last <- Text;
-        Ok (Some payload)
-      end
-
-let next_binary d s n =
-  if n < Wire_frame.header_bytes then Ok None
-  else
-    let plen = Binio.get_u32 s 2 in
-    if plen > d.max_frame then fail d (Oversized plen)
-    else
-      match Wire_frame.decode s ~pos:0 with
-      | Incomplete -> Ok None
-      | Corrupt msg -> fail d (Corrupt_frame msg)
-      | Value ((tag, payload), next) ->
-          if tag <> binary_tag then
-            fail d (Corrupt_frame (Printf.sprintf "unexpected frame tag %d" tag))
-          else begin
-            d.data <- String.sub s next (n - next);
-            d.last <- Binary;
-            Ok (Some payload)
-          end
-
 let next d =
   match d.err with
   | Some e -> Error e
-  | None ->
-      let s = d.data in
-      let n = String.length s in
-      if n = 0 then Ok None
-      else if Wire_frame.is_binary s.[0] then next_binary d s n
-      else next_text d s n
+  | None -> (
+      let buf, pos = Byteq.view d.q in
+      let stop = pos + Byteq.length d.q in
+      (* [s] aliases the queue only for this decode, which copies the
+         payload out before the next [feed] can touch the bytes. *)
+      let s = Bytes.unsafe_to_string buf in
+      let plen = if stop - pos >= Wire_frame.header_bytes then Binio.get_u32 s (pos + 2) else 0 in
+      if plen > d.max_frame && Wire_frame.is_binary s.[pos] then fail d (Oversized plen)
+      else
+        match Wire_frame.decode ~stop s ~pos with
+        | Codec.Incomplete -> Ok None
+        | Codec.Corrupt msg -> fail d (Corrupt_frame msg)
+        | Codec.Value ((t, _), _) when t <> tag -> fail d (foreign_tag t)
+        | Codec.Value ((_, payload), next) ->
+            Byteq.drop d.q (next - pos);
+            Ok (Some payload))
 
 (* --- blocking channel helpers (the loadgen / test client side) --- *)
 
-let input_text ?(max_frame = max_frame_default) first ic =
-  let rec read_len acc digits =
-    match if digits = 0 then first else input_char ic with
-    | exception End_of_file -> Error `Eof
-    | ' ' when digits > 0 -> Ok acc
-    | c when is_digit c ->
-        if digits >= max_digits then Error (`Frame (Malformed_length "length field too long"))
-        else read_len ((acc * 10) + (Char.code c - Char.code '0')) (digits + 1)
-    | c -> Error (`Frame (Malformed_length (Printf.sprintf "unexpected %C in length" c)))
-  in
-  match read_len 0 0 with
-  | Error _ as e -> e
-  | Ok len ->
-      if len > max_frame then Error (`Frame (Oversized len))
-      else begin
-        match really_input_string ic len with
-        | exception End_of_file -> Error `Eof
-        | payload -> (
-            match input_char ic with
-            | exception End_of_file -> Error `Eof
-            | '\n' -> Ok payload
-            | _ -> Error (`Frame Missing_terminator))
-      end
-
-let input_binary ?(max_frame = max_frame_default) ic =
-  (* The magic byte was already consumed; read the rest of the frame. *)
-  match really_input_string ic (Wire_frame.header_bytes - 1) with
+let input ?(max_frame = max_frame_default) ic =
+  match really_input_string ic Wire_frame.header_bytes with
   | exception End_of_file -> Error `Eof
-  | rest -> (
-      let header = String.make 1 Wire_frame.magic ^ rest in
-      let plen = Binio.get_u32 header 2 in
-      if plen > max_frame then Error (`Frame (Oversized plen))
+  | header -> (
+      if not (Wire_frame.is_binary header.[0]) then Error (`Frame (Corrupt_frame "bad magic byte"))
       else
-        match really_input_string ic (plen + Wire_frame.trailer_bytes) with
-        | exception End_of_file -> Error `Eof
-        | tail -> (
-            match Wire_frame.decode (header ^ tail) ~pos:0 with
-            | Value ((tag, payload), _) ->
-                if tag <> binary_tag then
-                  Error (`Frame (Corrupt_frame (Printf.sprintf "unexpected frame tag %d" tag)))
-                else Ok payload
-            | Corrupt msg -> Error (`Frame (Corrupt_frame msg))
-            | Incomplete -> Error `Eof))
+        let plen = Binio.get_u32 header 2 in
+        if plen > max_frame then Error (`Frame (Oversized plen))
+        else
+          match really_input_string ic (plen + Wire_frame.trailer_bytes) with
+          | exception End_of_file -> Error `Eof
+          | tail -> (
+              match Wire_frame.decode (header ^ tail) ~pos:0 with
+              | Codec.Value ((t, _), _) when t <> tag -> Error (`Frame (foreign_tag t))
+              | Codec.Value ((_, payload), _) -> Ok payload
+              | Codec.Corrupt msg -> Error (`Frame (Corrupt_frame msg))
+              | Codec.Incomplete -> Error `Eof))
 
-let input ?max_frame ic =
-  match input_char ic with
-  | exception End_of_file -> Error `Eof
-  | c when Wire_frame.is_binary c -> input_binary ?max_frame ic
-  | c -> input_text ?max_frame c ic
-
-let output_as fmt oc payload =
-  output_string oc (encode_as fmt payload);
+let output oc payload =
+  output_string oc (encode_binary payload);
   flush oc
-
-let output oc payload = output_as Text oc payload

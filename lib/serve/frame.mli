@@ -1,53 +1,32 @@
-(** Framing for the [gridbw serve] wire protocol, two forms behind one
-    decoder:
+(** Framing for the [gridbw serve] wire protocol: every payload travels
+    in the binary frame of {!Gridbw_wire.Frame}, under tag 0x03.
 
-    - [Text] (the default): ["%d %s\n"] — the payload byte length in
-      ASCII decimal, one space, the payload, one newline
-      ({!Gridbw_wire.Frame.Line}).  The trailing newline is a cheap
-      integrity check: a peer whose framing drifted out of sync fails
-      loudly instead of silently re-interpreting payload bytes as
-      lengths.
-    - [Binary]: the length-prefixed binary frame from
-      {!Gridbw_wire.Frame} (0xB1 magic, tag byte, LE length, payload,
-      CRC32 trailer).
+    {v
+    byte 0        0xB1 magic
+    byte 1        0x03 tag (serve protocol)
+    bytes 2..5    u32 LE payload length
+    bytes 6..     payload ({!Protocol})
+    last 4 bytes  u32 LE CRC32 of the payload
+    v}
 
-    The binary magic byte is not printable ASCII, so the first byte of a
-    frame selects its form — clients opt into binary simply by sending
-    binary frames, no handshake, and the session replies in whatever
-    form the client last spoke ({!last_format}).
-
-    Decoding is incremental and total: {!feed} bytes as they arrive,
-    {!next} yields complete payloads or a typed {!error} — malformed
-    input never raises. *)
-
-type format = Text | Binary
-
-val format_name : format -> string
+    A stream is a plain concatenation of frames; there is no handshake
+    and no other form.  Decoding is incremental and total: {!feed} bytes
+    as they arrive, {!next} yields complete payloads or a typed {!error}
+    — malformed input (a wrong first byte, a bad CRC, a foreign tag, a
+    length over [max_frame]) never raises. *)
 
 type error =
   | Oversized of int  (** declared payload length exceeds [max_frame] *)
-  | Malformed_length of string
-      (** the length prefix is not a plain decimal number followed by a
-          space (leading garbage, no digits, or an unterminated run
-          longer than any sane length field) *)
-  | Missing_terminator
-      (** the byte after the declared payload is not ['\n'] — framing
-          has desynchronized *)
   | Corrupt_frame of string
-      (** a binary frame failed its CRC or carries an unexpected tag *)
+      (** bad magic byte, CRC mismatch, or an unexpected tag *)
 
 val describe : error -> string
 
 val max_frame_default : int
 (** 1 MiB. *)
 
-val encode : string -> string
-(** The [Text]-framed bytes for one payload. *)
-
 val encode_binary : string -> string
-(** The [Binary]-framed bytes for one payload. *)
-
-val encode_as : format -> string -> string
+(** The framed bytes for one payload. *)
 
 (** {2 Incremental decoding} *)
 
@@ -56,29 +35,21 @@ type decoder
 val decoder : ?max_frame:int -> unit -> decoder
 
 val feed : decoder -> string -> unit
-(** Append raw bytes from the wire. *)
+(** Append raw bytes from the wire.  Amortized linear: consumed bytes are
+    dropped once per call, not once per frame. *)
 
 val next : decoder -> (string option, error) result
-(** [Ok (Some payload)] — one complete frame consumed (either form);
-    [Ok None] — more bytes needed; [Error _] — the stream is broken (the
-    decoder stays broken: framing errors are not recoverable). *)
+(** [Ok (Some payload)] — one complete frame consumed; [Ok None] — more
+    bytes needed; [Error _] — the stream is broken (the decoder stays
+    broken: framing errors are not recoverable). *)
 
 val buffered : decoder -> int
 (** Bytes fed but not yet consumed by {!next}. *)
 
-val last_format : decoder -> format
-(** Form of the most recently completed frame; [Text] before any frame
-    has decoded.  Responses are encoded in this form, so a client that
-    switches to binary mid-stream gets binary replies from then on. *)
-
 (** {2 Blocking helpers (client side)} *)
 
 val input : ?max_frame:int -> in_channel -> (string, [ `Frame of error | `Eof ]) result
-(** Read exactly one frame from a blocking channel, sniffing its form
-    from the first byte. *)
+(** Read exactly one frame from a blocking channel. *)
 
 val output : out_channel -> string -> unit
-(** Write one [Text]-framed payload and flush the channel. *)
-
-val output_as : format -> out_channel -> string -> unit
-(** Write one framed payload in the given form and flush the channel. *)
+(** Write one framed payload and flush the channel. *)

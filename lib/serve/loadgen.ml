@@ -18,14 +18,13 @@ type config = {
   fabric : Fabric.t;
   cancel_every : int;
   acks : out_channel option;
-  binary : bool;
   tolerate_disconnect : bool;
 }
 
 let default_config ?(connections = 4) ?(requests = 10_000) ?(seed = 1L)
     ?(mean_interarrival = 0.25) ?(max_slack = 4.0)
     ?(fabric = Fabric.paper_default ()) ?(cancel_every = 0) ?acks
-    ?(binary = false) ?(tolerate_disconnect = false) target =
+    ?(tolerate_disconnect = false) target =
   {
     target;
     connections;
@@ -36,7 +35,6 @@ let default_config ?(connections = 4) ?(requests = 10_000) ?(seed = 1L)
     fabric;
     cancel_every;
     acks;
-    binary;
     tolerate_disconnect;
   }
 
@@ -112,22 +110,40 @@ type shared = {
   mutable stop : bool;  (** a worker failed hard; everyone winds down *)
 }
 
-let record_ack sh payload =
+(* The acks journal is an edge of the system, read by drill scripts: one
+   JSON object per response, floats printed so they parse back to the
+   very bits on the wire. *)
+let ack_json (resp : Protocol.response) =
+  let int i = Json.Num (float_of_int i) and str s = Json.Str s in
+  let re kind fields = Json.to_string (Json.Obj (("re", str kind) :: fields)) in
+  match resp with
+  | Admitted { id; bw; sigma; tau } ->
+      re "admitted"
+        [ ("id", int id); ("bw", Json.Num bw); ("sigma", Json.Num sigma); ("tau", Json.Num tau) ]
+  | Rejected { id; reason } -> re "rejected" [ ("id", int id); ("reason", str reason) ]
+  | Cancel_ok { id } -> re "cancelled" [ ("id", int id) ]
+  | Cancel_failed { id; reason } -> re "cancel-failed" [ ("id", int id); ("reason", str reason) ]
+  | Status { id; _ } -> re "status" [ ("id", int id) ]
+  | Stats_text _ -> re "stats" []
+  | Goodbye { records } -> re "goodbye" [ ("records", int records) ]
+  | Error { code; message } ->
+      re "error" [ ("code", str (Protocol.code_name code)); ("message", str message) ]
+
+let record_ack sh resp =
   match sh.cfg.acks with
   | None -> ()
   | Some oc ->
+      let line = ack_json resp in
       Mutex.lock sh.acks_mutex;
-      output_string oc payload;
+      output_string oc line;
       output_char oc '\n';
       Mutex.unlock sh.acks_mutex
 
-(* One request-response exchange; the response payload is returned raw so
-   the ack journal carries the exact wire bytes. *)
+(* One request-response exchange. *)
 let exchange sh st ic oc req =
   st.sent <- st.sent + 1;
-  let fmt = if sh.cfg.binary then Frame.Binary else Frame.Text in
   let t0 = Unix.gettimeofday () in
-  match Frame.output_as fmt oc (Protocol.encode_request req) with
+  match Frame.output oc (Protocol.encode_request req) with
   | exception (Sys_error _ | Unix.Unix_error _) ->
       st.disconnects <- st.disconnects + 1;
       Error `Disconnect
@@ -143,7 +159,7 @@ let exchange sh st ic oc req =
           | Error e -> Error (`Protocol (Protocol.describe_decode_error e))
           | Ok resp ->
               st.answered <- st.answered + 1;
-              record_ack sh payload;
+              record_ack sh resp;
               Ok (resp, dt)))
 
 let worker sh st w =

@@ -9,7 +9,8 @@
     {!Gridbw_obs.Metrics.percentile}.
 
     The generator can journal every response it {e receives} to an acks
-    file (one JSON payload per line, verbatim wire bytes).  A kill-drill
+    file: one JSON object per line, the decoded response with its kind
+    under ["re"] and its floats printed to round-trip bit-exactly.  A kill-drill
     harness can compare that file against a [gridbw recover] of the
     daemon's store: write-ack-after-fsync promises every acked decision
     survives the crash bit-identically. *)
@@ -24,9 +25,6 @@ type config = {
   fabric : Gridbw_topology.Fabric.t;  (** must match the daemon's *)
   cancel_every : int;  (** cancel every Nth admitted transfer; 0 = never *)
   acks : out_channel option;  (** record every received response payload *)
-  binary : bool;
-      (** speak the binary frame form ({!Frame.Binary}); the daemon
-          notices from the first frame and replies in kind *)
   tolerate_disconnect : bool;
       (** a dropped connection stops that client quietly instead of
           failing the run — for kill drills where the daemon dies on
@@ -42,12 +40,11 @@ val default_config :
   ?fabric:Gridbw_topology.Fabric.t ->
   ?cancel_every:int ->
   ?acks:out_channel ->
-  ?binary:bool ->
   ?tolerate_disconnect:bool ->
   Daemon.transport ->
   config
 (** 4 connections, 10k requests, seed 1, paper fabric, §5.3 arrivals at
-    0.25 s mean, slack 4, no cancels, text frames. *)
+    0.25 s mean, slack 4, no cancels. *)
 
 type report = {
   sent : int;

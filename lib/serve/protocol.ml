@@ -1,8 +1,9 @@
-(* Wire codec for the admission daemon.  See protocol.mli. *)
+(* Binary wire codec for the admission daemon.  See protocol.mli for the
+   byte layout of every verb. *)
 
-module Json = Gridbw_obs.Json
+module Binio = Gridbw_wire.Binio
 
-let version = 1
+let version = 2
 
 type request =
   | Admit of {
@@ -26,7 +27,7 @@ type disposition =
   | Refused of { reason : string }
   | Cancelled
 
-type error_code = Bad_frame | Bad_json | Bad_version | Bad_request
+type error_code = Bad_frame | Bad_json | Bad_version | Bad_request | Overloaded
 
 type response =
   | Admitted of { id : int; bw : float; sigma : float; tau : float }
@@ -41,22 +42,16 @@ type response =
 type decode_error = Bad_json_e of string | Bad_version_e of int | Bad_request_e of string
 
 let describe_decode_error = function
-  | Bad_json_e msg -> "bad json: " ^ msg
+  | Bad_json_e msg -> "bad payload: " ^ msg
   | Bad_version_e v -> Printf.sprintf "unsupported protocol version %d (speaking %d)" v version
   | Bad_request_e msg -> "bad request: " ^ msg
 
 let code_name = function
   | Bad_frame -> "bad-frame"
-  | Bad_json -> "bad-json"
+  | Bad_json -> "bad-payload"
   | Bad_version -> "bad-version"
   | Bad_request -> "bad-request"
-
-let code_of_name = function
-  | "bad-frame" -> Some Bad_frame
-  | "bad-json" -> Some Bad_json
-  | "bad-version" -> Some Bad_version
-  | "bad-request" -> Some Bad_request
-  | _ -> None
+  | Overloaded -> "overloaded"
 
 let error_of_decode e =
   let code =
@@ -69,157 +64,169 @@ let error_of_decode e =
 
 (* --- encoding --- *)
 
-let num f = Json.Num f
-let int i = Json.Num (float_of_int i)
-let str s = Json.Str s
-
-let obj re fields = Json.to_string (Json.Obj (("v", int version) :: ("re", str re) :: fields))
-let req_obj op fields = Json.to_string (Json.Obj (("v", int version) :: ("op", str op) :: fields))
+let encode tag fill =
+  let b = Buffer.create 64 in
+  Binio.add_u8 b version;
+  Binio.add_u8 b tag;
+  fill b;
+  Buffer.contents b
 
 let encode_request = function
   | Admit { id; ingress; egress; volume; ts; tf; max_rate } ->
-      req_obj "admit"
-        [
-          ("id", int id);
-          ("in", int ingress);
-          ("out", int egress);
-          ("vol", num volume);
-          ("ts", num ts);
-          ("tf", num tf);
-          ("max", num max_rate);
-        ]
-  | Query { id } -> req_obj "query" [ ("id", int id) ]
-  | Cancel { id } -> req_obj "cancel" [ ("id", int id) ]
-  | Stats -> req_obj "stats" []
-  | Shutdown -> req_obj "shutdown" []
+      encode 0x01 (fun b ->
+          List.iter (Binio.add_i64 b) [ id; ingress; egress ];
+          List.iter (Binio.add_f64 b) [ volume; ts; tf; max_rate ])
+  | Query { id } -> encode 0x02 (fun b -> Binio.add_i64 b id)
+  | Cancel { id } -> encode 0x03 (fun b -> Binio.add_i64 b id)
+  | Stats -> encode 0x04 ignore
+  | Shutdown -> encode 0x05 ignore
 
-let window fields = function
-  | bw, sigma, tau -> fields @ [ ("bw", num bw); ("sigma", num sigma); ("tau", num tau) ]
+(* Error codes by their wire byte. *)
+let codes = [| Bad_frame; Bad_json; Bad_version; Bad_request; Overloaded |]
+
+let window b bw sigma tau = List.iter (Binio.add_f64 b) [ bw; sigma; tau ]
+
+let id_and b id s =
+  Binio.add_i64 b id;
+  Binio.add_str b s
 
 let encode_response = function
-  | Admitted { id; bw; sigma; tau } -> obj "admitted" (window [ ("id", int id) ] (bw, sigma, tau))
-  | Rejected { id; reason } -> obj "rejected" [ ("id", int id); ("reason", str reason) ]
+  | Admitted { id; bw; sigma; tau } ->
+      encode 0x81 (fun b ->
+          Binio.add_i64 b id;
+          window b bw sigma tau)
+  | Rejected { id; reason } -> encode 0x82 (fun b -> id_and b id reason)
   | Status { id; disposition } ->
-      let fields =
-        match disposition with
-        | Unknown -> [ ("state", str "unknown") ]
-        | Active { bw; sigma; tau } -> window [ ("state", str "active") ] (bw, sigma, tau)
-        | Done { bw; sigma; tau } -> window [ ("state", str "done") ] (bw, sigma, tau)
-        | Refused { reason } -> [ ("state", str "rejected"); ("reason", str reason) ]
-        | Cancelled -> [ ("state", str "cancelled") ]
+      encode 0x83 (fun b ->
+          Binio.add_i64 b id;
+          match disposition with
+          | Unknown -> Binio.add_u8 b 0
+          | Active { bw; sigma; tau } ->
+              Binio.add_u8 b 1;
+              window b bw sigma tau
+          | Done { bw; sigma; tau } ->
+              Binio.add_u8 b 2;
+              window b bw sigma tau
+          | Refused { reason } ->
+              Binio.add_u8 b 3;
+              Binio.add_str b reason
+          | Cancelled -> Binio.add_u8 b 4)
+  | Cancel_ok { id } -> encode 0x84 (fun b -> Binio.add_i64 b id)
+  | Cancel_failed { id; reason } -> encode 0x85 (fun b -> id_and b id reason)
+  | Stats_text text -> encode 0x86 (fun b -> Binio.add_str b text)
+  | Goodbye { records } -> encode 0x87 (fun b -> Binio.add_i64 b records)
+  | Error { code; message } ->
+      encode 0x88 (fun b ->
+          let rec index i = if codes.(i) = code then i else index (i + 1) in
+          Binio.add_u8 b (index 0);
+          Binio.add_str b message)
+
+(* --- decoding ---
+
+   A cursor over the payload.  Every read checks its bounds first; the
+   two exceptions never escape [decode], which turns them into typed
+   errors. *)
+
+type cursor = { s : string; mutable pos : int }
+
+exception Short
+exception Malformed of decode_error
+
+let take c n =
+  let p = c.pos in
+  if n > String.length c.s - p then raise Short;
+  c.pos <- p + n;
+  p
+
+let u8 c = Binio.get_u8 c.s (take c 1)
+
+let i64 c =
+  let v = String.get_int64_le c.s (take c 8) in
+  let i = Int64.to_int v in
+  if not (Int64.equal (Int64.of_int i) v) then
+    raise (Malformed (Bad_json_e "integer field out of range"));
+  i
+
+let f64 c = Binio.get_f64 c.s (take c 8)
+
+let str c =
+  let n = Binio.get_u32 c.s (take c 4) in
+  String.sub c.s (take c n) n
+
+let unknown what tag =
+  raise (Malformed (Bad_request_e (Printf.sprintf "unknown %s tag 0x%02x" what tag)))
+
+let decode body payload =
+  let n = String.length payload in
+  if n = 0 then Result.Error (Bad_json_e "empty payload")
+  else
+    let v = Char.code payload.[0] in
+    if v <> version then Result.Error (Bad_version_e v)
+    else if n < 2 then Result.Error (Bad_json_e "truncated payload")
+    else
+      let c = { s = payload; pos = 2 } in
+      match body c (Char.code payload.[1]) with
+      | exception Short -> Result.Error (Bad_json_e "truncated payload")
+      | exception Malformed e -> Result.Error e
+      | v when c.pos = n -> Ok v
+      | _ -> Result.Error (Bad_request_e (Printf.sprintf "%d trailing bytes" (n - c.pos)))
+
+let decode_request =
+  decode (fun c -> function
+    | 0x01 ->
+        let id = i64 c in
+        let ingress = i64 c in
+        let egress = i64 c in
+        let volume = f64 c in
+        let ts = f64 c in
+        let tf = f64 c in
+        let max_rate = f64 c in
+        Admit { id; ingress; egress; volume; ts; tf; max_rate }
+    | 0x02 -> Query { id = i64 c }
+    | 0x03 -> Cancel { id = i64 c }
+    | 0x04 -> Stats
+    | 0x05 -> Shutdown
+    | tag -> unknown "verb" tag)
+
+let decode_response =
+  decode (fun c tag ->
+      let window k =
+        let bw = f64 c in
+        let sigma = f64 c in
+        k bw sigma (f64 c)
       in
-      obj "status" (("id", int id) :: fields)
-  | Cancel_ok { id } -> obj "cancelled" [ ("id", int id) ]
-  | Cancel_failed { id; reason } -> obj "cancel-failed" [ ("id", int id); ("reason", str reason) ]
-  | Stats_text text -> obj "stats" [ ("prometheus", str text) ]
-  | Goodbye { records } -> obj "goodbye" [ ("records", int records) ]
-  | Error { code; message } -> obj "error" [ ("code", str (code_name code)); ("message", str message) ]
-
-(* --- decoding --- *)
-
-let field name conv j what =
-  match Option.bind (Json.member name j) conv with
-  | Some v -> Ok v
-  | None -> Result.Error (Bad_request_e (Printf.sprintf "missing or ill-typed %S field" what))
-
-let int_field name j = field name Json.to_int j name
-let float_field name j = field name Json.to_float j name
-let str_field name j = field name Json.to_str j name
-
-let ( let* ) = Result.bind
-
-let with_versioned payload k =
-  match Json.parse payload with
-  | Result.Error msg -> Result.Error (Bad_json_e msg)
-  | Ok j -> (
-      match j with
-      | Json.Obj _ -> (
-          match Option.bind (Json.member "v" j) Json.to_int with
-          | None -> Result.Error (Bad_request_e "missing or ill-typed \"v\" field")
-          | Some v when v <> version -> Result.Error (Bad_version_e v)
-          | Some _ -> k j)
-      | _ -> Result.Error (Bad_json_e "payload is not a JSON object"))
-
-let decode_request payload =
-  with_versioned payload (fun j ->
-      let* op = str_field "op" j in
-      match op with
-      | "admit" ->
-          let* id = int_field "id" j in
-          let* ingress = int_field "in" j in
-          let* egress = int_field "out" j in
-          let* volume = float_field "vol" j in
-          let* ts = float_field "ts" j in
-          let* tf = float_field "tf" j in
-          let* max_rate = float_field "max" j in
-          Ok (Admit { id; ingress; egress; volume; ts; tf; max_rate })
-      | "query" ->
-          let* id = int_field "id" j in
-          Ok (Query { id })
-      | "cancel" ->
-          let* id = int_field "id" j in
-          Ok (Cancel { id })
-      | "stats" -> Ok Stats
-      | "shutdown" -> Ok Shutdown
-      | other -> Result.Error (Bad_request_e (Printf.sprintf "unknown verb %S" other)))
-
-let decode_window j =
-  let* bw = float_field "bw" j in
-  let* sigma = float_field "sigma" j in
-  let* tau = float_field "tau" j in
-  Ok (bw, sigma, tau)
-
-let decode_response payload =
-  with_versioned payload (fun j ->
-      let* re = str_field "re" j in
-      match re with
-      | "admitted" ->
-          let* id = int_field "id" j in
-          let* bw, sigma, tau = decode_window j in
-          Ok (Admitted { id; bw; sigma; tau })
-      | "rejected" ->
-          let* id = int_field "id" j in
-          let* reason = str_field "reason" j in
-          Ok (Rejected { id; reason })
-      | "status" -> (
-          let* id = int_field "id" j in
-          let* state = str_field "state" j in
-          match state with
-          | "unknown" -> Ok (Status { id; disposition = Unknown })
-          | "active" ->
-              let* bw, sigma, tau = decode_window j in
-              Ok (Status { id; disposition = Active { bw; sigma; tau } })
-          | "done" ->
-              let* bw, sigma, tau = decode_window j in
-              Ok (Status { id; disposition = Done { bw; sigma; tau } })
-          | "rejected" ->
-              let* reason = str_field "reason" j in
-              Ok (Status { id; disposition = Refused { reason } })
-          | "cancelled" -> Ok (Status { id; disposition = Cancelled })
-          | other -> Result.Error (Bad_request_e (Printf.sprintf "unknown status state %S" other)))
-      | "cancelled" ->
-          let* id = int_field "id" j in
-          Ok (Cancel_ok { id })
-      | "cancel-failed" ->
-          let* id = int_field "id" j in
-          let* reason = str_field "reason" j in
-          Ok (Cancel_failed { id; reason })
-      | "stats" ->
-          let* text = str_field "prometheus" j in
-          Ok (Stats_text text)
-      | "goodbye" ->
-          let* records = int_field "records" j in
-          Ok (Goodbye { records })
-      | "error" ->
-          let* code_s = str_field "code" j in
-          let* message = str_field "message" j in
-          let* code =
-            match code_of_name code_s with
-            | Some c -> Ok c
-            | None -> Result.Error (Bad_request_e (Printf.sprintf "unknown error code %S" code_s))
+      match tag with
+      | 0x81 ->
+          let id = i64 c in
+          window (fun bw sigma tau -> Admitted { id; bw; sigma; tau })
+      | 0x82 ->
+          let id = i64 c in
+          Rejected { id; reason = str c }
+      | 0x83 ->
+          let id = i64 c in
+          let disposition =
+            match u8 c with
+            | 0 -> Unknown
+            | 1 -> window (fun bw sigma tau -> Active { bw; sigma; tau })
+            | 2 -> window (fun bw sigma tau -> Done { bw; sigma; tau })
+            | 3 -> Refused { reason = str c }
+            | 4 -> Cancelled
+            | s -> raise (Malformed (Bad_json_e (Printf.sprintf "unknown status state %d" s)))
           in
-          Ok (Error { code; message })
-      | other -> Result.Error (Bad_request_e (Printf.sprintf "unknown response kind %S" other)))
+          Status { id; disposition }
+      | 0x84 -> Cancel_ok { id = i64 c }
+      | 0x85 ->
+          let id = i64 c in
+          Cancel_failed { id; reason = str c }
+      | 0x86 -> Stats_text (str c)
+      | 0x87 -> Goodbye { records = i64 c }
+      | 0x88 ->
+          let k = u8 c in
+          if k >= Array.length codes then
+            raise (Malformed (Bad_json_e (Printf.sprintf "unknown error code %d" k)));
+          let code = codes.(k) in
+          Error { code; message = str c }
+      | tag -> unknown "response" tag)
 
 (* --- printing --- *)
 

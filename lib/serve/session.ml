@@ -4,37 +4,32 @@ module Span = Gridbw_obs.Span
 
 type t = {
   id : int;
-  peer : string;
   decoder : Frame.decoder;
   timed : bool;
-  mutable out : string;  (* encoded bytes not yet on the wire *)
+  out : Byteq.t;  (* framed responses not yet on the wire *)
   mutable closing : bool;
   mutable frames_in : int;
   mutable responses_out : int;
-  mutable errors : int;
   (* Stage durations of the most recent completed message (valid right
      after [next] returns [Some _] with [timed]). *)
   mutable decode_ns : float;
   mutable parse_ns : float;
 }
 
-let create ?max_frame ?(timed = false) ~id ~peer () =
+let create ?max_frame ?(timed = false) ~id () =
   {
     id;
-    peer;
     decoder = Frame.decoder ?max_frame ();
     timed;
-    out = "";
+    out = Byteq.create 4096;
     closing = false;
     frames_in = 0;
     responses_out = 0;
-    errors = 0;
     decode_ns = 0.;
     parse_ns = 0.;
   }
 
 let id t = t.id
-let peer t = t.peer
 let feed t s = Frame.feed t.decoder s
 
 type incoming =
@@ -52,36 +47,29 @@ let next t =
         let t1 = if t.timed then Span.now_ns () else 0. in
         if t.timed then t.decode_ns <- t1 -. t0;
         t.frames_in <- t.frames_in + 1;
-        match Protocol.decode_request payload with
-        | Ok r ->
-            if t.timed then t.parse_ns <- Span.now_ns () -. t1;
-            Some (Request r)
-        | Error e ->
-            if t.timed then t.parse_ns <- Span.now_ns () -. t1;
-            t.errors <- t.errors + 1;
-            Some (Undecodable (Protocol.error_of_decode e)))
+        let decoded = Protocol.decode_request payload in
+        if t.timed then t.parse_ns <- Span.now_ns () -. t1;
+        match decoded with
+        | Ok r -> Some (Request r)
+        | Error e -> Some (Undecodable (Protocol.error_of_decode e)))
     | Error e ->
         t.closing <- true;
-        t.errors <- t.errors + 1;
         Some
           (Broken
              (Protocol.Error { code = Protocol.Bad_frame; message = Frame.describe e }))
 
 let queue t resp =
   t.responses_out <- t.responses_out + 1;
-  (* Reply in the form the client last spoke: sending one binary frame
-     switches the response stream to binary, no handshake needed. *)
-  t.out <- t.out ^ Frame.encode_as (Frame.last_format t.decoder) (Protocol.encode_response resp)
+  Byteq.add_string t.out (Frame.encode_binary (Protocol.encode_response resp))
 
-let pending t = String.length t.out > 0
-let out_chunk t = t.out
+let pending t = Byteq.length t.out > 0
 
-let wrote t n =
-  if n < 0 || n > String.length t.out then invalid_arg "Session.wrote";
-  t.out <- String.sub t.out n (String.length t.out - n)
+let write_out t w =
+  let buf, pos = Byteq.view t.out in
+  let n = w buf pos (Byteq.length t.out) in
+  if n > 0 then Byteq.drop t.out n
 
 let stage_ns t = (t.decode_ns, t.parse_ns)
 let want_close t = t.closing
 let frames_in t = t.frames_in
 let responses_out t = t.responses_out
-let errors t = t.errors

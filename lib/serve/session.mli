@@ -5,18 +5,17 @@
     the {!Daemon} does the socket I/O, tests can drive a session from
     strings.  Frame-level errors poison the connection (framing cannot
     resynchronize): the session reports one final error response to send
-    and {!want_close} turns true.  Payload-level errors (bad JSON, bad
-    version, unknown verb) are per-request: the peer gets a typed error
-    response and the connection keeps going. *)
+    and {!want_close} turns true.  Payload-level errors (malformed
+    payload, bad version, unknown verb) are per-request: the peer gets a
+    typed error response and the connection keeps going. *)
 
 type t
 
-val create : ?max_frame:int -> ?timed:bool -> id:int -> peer:string -> unit -> t
+val create : ?max_frame:int -> ?timed:bool -> id:int -> unit -> t
 (** With [timed] (default off), {!next} measures its frame-decode and
     protocol-parse phases for {!stage_ns}. *)
 
 val id : t -> int
-val peer : t -> string
 
 (** {2 Input} *)
 
@@ -48,11 +47,12 @@ val queue : t -> Protocol.response -> unit
 (** Encode, frame, and append to the pending output. *)
 
 val pending : t -> bool
-val out_chunk : t -> string
-(** Bytes waiting to be written (empty when none). *)
 
-val wrote : t -> int -> unit
-(** Note that the first [n] bytes of {!out_chunk} reached the wire. *)
+val write_out : t -> (Bytes.t -> int -> int -> int) -> unit
+(** [write_out t w] offers the pending output to [w buf off len], which
+    returns how many of those bytes reached the wire; they are dropped
+    from the pending output.  An exception from [w] propagates and
+    consumes nothing. *)
 
 val want_close : t -> bool
 (** Close once the pending output has drained. *)
@@ -61,5 +61,3 @@ val want_close : t -> bool
 
 val frames_in : t -> int
 val responses_out : t -> int
-val errors : t -> int
-(** Frame- plus payload-level errors on this connection. *)

@@ -1,16 +1,15 @@
-(* Record framing, three ways:
+(* Record framing, two ways:
 
    - binary: 0xB1 magic, version/kind tag byte, u32 LE payload length,
      payload bytes, u32 LE CRC32 of the payload.  Self-delimiting,
-     newline-safe, torn-tail detectable.
-   - [Line]: the serve plane's "%d %s\n" length-prefixed text frame.
+     newline-safe, torn-tail detectable.  The serve protocol speaks only
+     this form.
    - [Hexline]: the JSONL WAL's "%08x %d %s\n" CRC-framed line.
 
-   The magic byte 0xB1 is not printable ASCII, so the first byte of any
-   record distinguishes the three: '{' or a decimal digit or a hex digit
-   opens one of the text forms, 0xB1 opens a binary frame.  That is the
-   whole format-negotiation story — journals, traces, and serve streams
-   may mix records freely and every reader sniffs per record. *)
+   The magic byte 0xB1 is not printable ASCII, so the first byte of a
+   journal or trace record distinguishes the two: '{' or a hex digit
+   opens a text form, 0xB1 opens a binary frame.  Journals and traces may
+   mix records freely and their readers sniff per record. *)
 
 let magic = '\xB1'
 let is_binary c = Char.equal c magic
@@ -28,11 +27,12 @@ let add b ~tag payload =
   Buffer.add_string b payload;
   Buffer.add_int32_le b (Crc32.digest payload)
 
-(* Decode one binary frame at [pos] into (tag, payload).  [max] bounds
-   the accepted payload length so a corrupted length field on a live
-   socket is an error instead of an unbounded wait for more input. *)
-let decode ?(max = Stdlib.max_int) s ~pos : (int * string) Codec.decoded =
-  let len = String.length s in
+(* Decode one binary frame at [pos] into (tag, payload), reading no
+   further than [stop] (default: the end of [s]).  [max] bounds the
+   accepted payload length so a corrupted length field on a live socket
+   is an error instead of an unbounded wait for more input. *)
+let decode ?(max = Stdlib.max_int) ?stop s ~pos : (int * string) Codec.decoded =
+  let len = match stop with Some n -> n | None -> String.length s in
   if pos >= len then Incomplete
   else if not (is_binary s.[pos]) then Corrupt "bad magic byte"
   else if pos + header_bytes > len then Incomplete
@@ -51,45 +51,6 @@ let decode ?(max = Stdlib.max_int) s ~pos : (int * string) Codec.decoded =
             pos + header_bytes + plen + trailer_bytes )
     end
   end
-
-(* "%d %s\n": decimal payload length, space, payload, newline. *)
-module Line = struct
-  type t = string
-
-  let name = "line"
-  let max_digits = 10
-
-  let encode b payload =
-    Buffer.add_string b (string_of_int (String.length payload));
-    Buffer.add_char b ' ';
-    Buffer.add_string b payload;
-    Buffer.add_char b '\n'
-
-  let decode s ~pos : t Codec.decoded =
-    let len = String.length s in
-    let rec digits i =
-      if i >= len then `Incomplete
-      else
-        match s.[i] with
-        | '0' .. '9' when i - pos < max_digits -> digits (i + 1)
-        | '0' .. '9' -> `Too_long
-        | ' ' when i > pos -> `Sep i
-        | _ -> `Bad i
-    in
-    match digits pos with
-    | `Incomplete -> Incomplete
-    | `Too_long -> Corrupt "length prefix too long"
-    | `Bad i ->
-        if i = pos then Corrupt "missing length prefix" else Corrupt "malformed length prefix"
-    | `Sep i -> (
-        match int_of_string_opt (String.sub s pos (i - pos)) with
-        | None -> Corrupt "malformed length prefix"
-        | Some plen ->
-            let start = i + 1 in
-            if start + plen + 1 > len then Incomplete
-            else if s.[start + plen] <> '\n' then Corrupt "missing frame terminator"
-            else Value (String.sub s start plen, start + plen + 1))
-end
 
 (* "%08x %d %s\n": CRC32 in hex, payload length, payload, newline.  The
    JSONL WAL's historical frame, kept byte-identical so existing

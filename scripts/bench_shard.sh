@@ -44,7 +44,7 @@ for n in $SHARD_COUNTS; do
     exit 1
   fi
   "$G" loadgen --socket "$sock" --requests "$REQUESTS" --connections "$CONNS" \
-    --seed 42 --mean-interarrival 14 --cancel-every 50 --binary \
+    --seed 42 --mean-interarrival 14 --cancel-every 50 \
     --bench-out "$work/run$n.json" 1>&2
   # scrape the admit-search stage histogram while the daemon is still up
   python3 - "$port" > "$work/admit$n.json" <<'EOF'

@@ -43,76 +43,99 @@ let store_config () =
 
 (* --- frame codec --- *)
 
+module Crc32 = Gridbw_wire.Crc32
+
 let frame_encode_shape () =
-  Alcotest.(check string) "frame layout" "3 abc\n" (Frame.encode "abc");
-  Alcotest.(check string) "empty payload" "0 \n" (Frame.encode "")
+  let crc_le s =
+    let b = Buffer.create 4 in
+    Buffer.add_int32_le b (Crc32.digest s);
+    Buffer.contents b
+  in
+  Alcotest.(check string) "frame layout" ("\xB1\x03\x03\x00\x00\x00abc" ^ crc_le "abc")
+    (Frame.encode_binary "abc");
+  Alcotest.(check string) "empty payload" ("\xB1\x03\x00\x00\x00\x00" ^ crc_le "")
+    (Frame.encode_binary "");
+  let admit =
+    Protocol.Admit { id = 1; ingress = 0; egress = 1; volume = 1.; ts = 0.; tf = 1.; max_rate = 1. }
+  in
+  Alcotest.(check int) "an admit is 68 bytes on the wire" 68
+    (String.length (Frame.encode_binary (Protocol.encode_request admit)));
+  Alcotest.(check int) "an admitted reply is 44 bytes on the wire" 44
+    (String.length
+       (Frame.encode_binary
+          (Protocol.encode_response (Protocol.Admitted { id = 1; bw = 1.; sigma = 0.; tau = 1. }))))
 
 let byte_string_gen =
   QCheck2.Gen.(string_size ~gen:(map Char.chr (int_range 0 255)) (int_range 0 30))
+
+let drain d =
+  let out = ref [] in
+  let rec go () =
+    match Frame.next d with
+    | Ok (Some p) ->
+        out := p :: !out;
+        go ()
+    | Ok None -> ()
+    | Error e -> Alcotest.failf "unexpected frame error: %s" (Frame.describe e)
+  in
+  go ();
+  List.rev !out
 
 let prop_frame_chunked_roundtrip =
   qcase ~count:300 "frame: payload lists survive chunked decoding"
     QCheck2.Gen.(pair (list_size (int_range 0 8) byte_string_gen) (int_range 1 7))
     (fun (payloads, chunk) ->
-      let wire = String.concat "" (List.map Frame.encode payloads) in
+      let wire = String.concat "" (List.map Frame.encode_binary payloads) in
       let d = Frame.decoder () in
       let out = ref [] in
-      let rec drain () =
-        match Frame.next d with
-        | Ok (Some p) ->
-            out := p :: !out;
-            drain ()
-        | Ok None -> ()
-        | Error e -> Alcotest.failf "unexpected frame error: %s" (Frame.describe e)
-      in
       let i = ref 0 in
       let n = String.length wire in
       while !i < n do
         let len = Int.min chunk (n - !i) in
         Frame.feed d (String.sub wire !i len);
         i := !i + len;
-        drain ()
+        out := !out @ drain d
       done;
-      drain ();
-      List.rev !out = payloads && Frame.buffered d = 0)
+      !out @ drain d = payloads && Frame.buffered d = 0)
 
 let frame_truncated_prefix_waits () =
-  let d = Frame.decoder () in
-  Frame.feed d "12";
-  Alcotest.(check bool) "digits alone: need more bytes" true (Frame.next d = Ok None);
-  Frame.feed d " ";
-  Alcotest.(check bool) "payload missing: need more bytes" true (Frame.next d = Ok None);
-  Frame.feed d "abcdefghijkl\n";
-  Alcotest.(check bool) "completed frame decodes" true (Frame.next d = Ok (Some "abcdefghijkl"))
+  let wire = Frame.encode_binary "abcdefghijkl" in
+  for n = 0 to String.length wire - 1 do
+    let d = Frame.decoder () in
+    Frame.feed d (String.sub wire 0 n);
+    Alcotest.(check bool) (Printf.sprintf "%d-byte prefix: need more bytes" n) true
+      (Frame.next d = Ok None);
+    Frame.feed d (String.sub wire n (String.length wire - n));
+    Alcotest.(check bool) "completed frame decodes" true (Frame.next d = Ok (Some "abcdefghijkl"));
+    Alcotest.(check int) "nothing left over" 0 (Frame.buffered d)
+  done
+
+let is_corrupt = function Error (Frame.Corrupt_frame _) -> true | _ -> false
 
 let frame_errors_are_typed_and_sticky () =
-  (* not a digit *)
+  (* a text-framed (protocol v1) client: the first byte is not the magic *)
   let d = Frame.decoder () in
-  Frame.feed d "x3 abc\n";
-  (match Frame.next d with
-  | Error (Frame.Malformed_length _) -> ()
-  | other ->
-      Alcotest.failf "expected Malformed_length, got %s"
-        (match other with
-        | Ok _ -> "Ok"
-        | Error e -> Frame.describe e));
+  Frame.feed d "20 {\"v\":1,\"op\":\"stats\"}\n";
+  Alcotest.(check bool) "text frame refused" true (is_corrupt (Frame.next d));
   (* the decoder stays broken even when good bytes follow *)
-  Frame.feed d (Frame.encode "fine");
-  Alcotest.(check bool) "decoder stays poisoned" true
-    (match Frame.next d with Error (Frame.Malformed_length _) -> true | _ -> false);
-  (* length field absurdly long *)
-  let d = Frame.decoder () in
-  Frame.feed d "12345678901 ";
-  Alcotest.(check bool) "overlong length field" true
-    (match Frame.next d with Error (Frame.Malformed_length _) -> true | _ -> false);
+  Frame.feed d (Frame.encode_binary "fine");
+  Alcotest.(check bool) "decoder stays poisoned" true (is_corrupt (Frame.next d));
   (* declared length over the cap *)
   let d = Frame.decoder ~max_frame:10 () in
-  Frame.feed d "11 aaaaaaaaaaa\n";
+  Frame.feed d (String.sub (Frame.encode_binary (String.make 11 'a')) 0 6);
   Alcotest.(check bool) "oversized" true (Frame.next d = Error (Frame.Oversized 11));
-  (* missing terminator *)
+  (* a flipped payload byte fails the CRC *)
   let d = Frame.decoder () in
-  Frame.feed d "3 abcX";
-  Alcotest.(check bool) "missing terminator" true (Frame.next d = Error Frame.Missing_terminator)
+  let b = Bytes.of_string (Frame.encode_binary "payload") in
+  Bytes.set b 7 'X';
+  Frame.feed d (Bytes.to_string b);
+  Alcotest.(check bool) "crc mismatch" true (is_corrupt (Frame.next d));
+  (* a frame under another subsystem's tag *)
+  let d = Frame.decoder () in
+  let b = Buffer.create 16 in
+  Gridbw_wire.Frame.add b ~tag:0x01 "event";
+  Frame.feed d (Buffer.contents b);
+  Alcotest.(check bool) "foreign tag" true (is_corrupt (Frame.next d))
 
 let frame_blocking_io () =
   let path = Filename.temp_file "gridbw-frame" ".bin" in
@@ -122,6 +145,7 @@ let frame_blocking_io () =
       let oc = open_out_bin path in
       Frame.output oc "hello";
       Frame.output oc "";
+      output_string oc "5 hello\n";
       close_out oc;
       let ic = open_in_bin path in
       Fun.protect
@@ -129,40 +153,55 @@ let frame_blocking_io () =
         (fun () ->
           Alcotest.(check bool) "first frame" true (Frame.input ic = Ok "hello");
           Alcotest.(check bool) "second frame" true (Frame.input ic = Ok "");
+          Alcotest.(check bool) "text frame refused" true
+            (match Frame.input ic with Error (`Frame (Frame.Corrupt_frame _)) -> true | _ -> false);
           Alcotest.(check bool) "eof" true (Frame.input ic = Error `Eof)))
 
 (* --- protocol codec --- *)
 
-let fin = QCheck2.Gen.float_range (-1e12) 1e12
-let posf = QCheck2.Gen.float_range 1e-6 1e12
+(* Floats the codec must carry bit for bit: signed zeros, infinities,
+   NaNs with payloads, subnormals, and arbitrary bit patterns. *)
+let float_gen =
+  QCheck2.Gen.(
+    oneof
+      [
+        float_range (-1e12) 1e12;
+        map Int64.float_of_bits ui64;
+        oneofl
+          [
+            0.; -0.; infinity; neg_infinity; nan;
+            Int64.float_of_bits 0x7FF8_0000_DEAD_BEEFL;
+            Int64.float_of_bits 0xFFF0_0000_0000_0001L;
+            Int64.float_of_bits 0x0000_0000_0000_0001L;
+            Int64.float_of_bits 0x800F_FFFF_FFFF_FFFFL;
+          ];
+      ])
+
+let int_gen = QCheck2.Gen.(oneof [ nat; int; oneofl [ 0; -1; min_int; max_int ] ])
 
 let request_gen =
   QCheck2.Gen.(
     oneof
       [
-        (let* id = nat and* ingress = nat and* egress = nat in
-         let* volume = posf and* ts = fin and* tf = fin and* max_rate = posf in
+        (let* id = int_gen and* ingress = int_gen and* egress = int_gen in
+         let* volume = float_gen and* ts = float_gen and* tf = float_gen and* max_rate = float_gen in
          return (Protocol.Admit { id; ingress; egress; volume; ts; tf; max_rate }));
-        map (fun id -> Protocol.Query { id }) nat;
-        map (fun id -> Protocol.Cancel { id }) nat;
+        map (fun id -> Protocol.Query { id }) int_gen;
+        map (fun id -> Protocol.Cancel { id }) int_gen;
         return Protocol.Stats;
         return Protocol.Shutdown;
       ])
 
-let prop_request_roundtrip =
-  qcase ~count:400 "protocol: every request constructor round-trips" request_gen
-    (fun r -> Protocol.decode_request (Protocol.encode_request r) = Ok r)
-
 let response_gen =
   QCheck2.Gen.(
-    let window = triple fin fin fin in
+    let window = triple float_gen float_gen float_gen in
     oneof
       [
-        (let* id = nat and* bw, sigma, tau = window in
+        (let* id = int_gen and* bw, sigma, tau = window in
          return (Protocol.Admitted { id; bw; sigma; tau }));
-        (let* id = nat and* reason = byte_string_gen in
+        (let* id = int_gen and* reason = byte_string_gen in
          return (Protocol.Rejected { id; reason }));
-        (let* id = nat in
+        (let* id = int_gen in
          let* disposition =
            oneof
              [
@@ -174,37 +213,111 @@ let response_gen =
              ]
          in
          return (Protocol.Status { id; disposition }));
-        map (fun id -> Protocol.Cancel_ok { id }) nat;
-        (let* id = nat and* reason = byte_string_gen in
+        map (fun id -> Protocol.Cancel_ok { id }) int_gen;
+        (let* id = int_gen and* reason = byte_string_gen in
          return (Protocol.Cancel_failed { id; reason }));
         (* stats payloads embed raw Prometheus text, newlines included *)
         map (fun text -> Protocol.Stats_text text) byte_string_gen;
-        map (fun records -> Protocol.Goodbye { records }) nat;
+        map (fun records -> Protocol.Goodbye { records }) int_gen;
         (let* code =
-           oneofl [ Protocol.Bad_frame; Protocol.Bad_json; Protocol.Bad_version; Protocol.Bad_request ]
+           oneofl
+             [ Protocol.Bad_frame; Protocol.Bad_json; Protocol.Bad_version; Protocol.Bad_request;
+               Protocol.Overloaded ]
          and* message = byte_string_gen in
          return (Protocol.Error { code; message }));
       ])
 
+(* Messages with every float replaced by its bit pattern, so structural
+   equality is bit equality (nan <> nan under float equality). *)
+let bits = Int64.bits_of_float
+
+let request_key = function
+  | Protocol.Admit { id; ingress; egress; volume; ts; tf; max_rate } ->
+      `Admit (id, ingress, egress, List.map bits [ volume; ts; tf; max_rate ])
+  | r -> `Plain r
+
+let response_key =
+  let window bw sigma tau = List.map bits [ bw; sigma; tau ] in
+  function
+  | Protocol.Admitted { id; bw; sigma; tau } -> `Admitted (id, window bw sigma tau)
+  | Protocol.Status { id; disposition = Protocol.Active { bw; sigma; tau } } ->
+      `Active (id, window bw sigma tau)
+  | Protocol.Status { id; disposition = Protocol.Done { bw; sigma; tau } } ->
+      `Done (id, window bw sigma tau)
+  | r -> `Plain r
+
+let prop_request_roundtrip =
+  qcase ~count:400 "protocol: every request constructor round-trips" request_gen (fun r ->
+      match Protocol.decode_request (Protocol.encode_request r) with
+      | Ok r' -> request_key r' = request_key r
+      | Error _ -> false)
+
 let prop_response_roundtrip =
-  qcase ~count:400 "protocol: every response constructor round-trips" response_gen
-    (fun r -> Protocol.decode_response (Protocol.encode_response r) = Ok r)
+  qcase ~count:400 "protocol: every response constructor round-trips" response_gen (fun r ->
+      match Protocol.decode_response (Protocol.encode_response r) with
+      | Ok r' -> response_key r' = response_key r
+      | Error _ -> false)
+
+let prop_strict_prefixes_fail =
+  qcase ~count:200 "protocol: every strict prefix is a typed error"
+    QCheck2.Gen.(pair request_gen response_gen)
+    (fun (req, resp) ->
+      let prefixes s = List.init (String.length s) (fun n -> String.sub s 0 n) in
+      List.for_all
+        (fun p -> Result.is_error (Protocol.decode_request p))
+        (prefixes (Protocol.encode_request req))
+      && List.for_all
+           (fun p -> Result.is_error (Protocol.decode_response p))
+           (prefixes (Protocol.encode_response resp)))
+
+(* No payload checksum exists (the frame's CRC covers it), so a flipped
+   field byte may decode to another valid message; it must never raise.
+   Inside a frame, the same flip never yields a payload. *)
+let prop_corruption_never_raises =
+  qcase ~count:200 "protocol: single-byte corruption never raises"
+    QCheck2.Gen.(triple request_gen response_gen (int_range 1 255))
+    (fun (req, resp, mask) ->
+      let flips s =
+        List.init (String.length s) (fun i ->
+            let b = Bytes.of_string s in
+            Bytes.set b i (Char.chr (Char.code s.[i] lxor mask));
+            Bytes.to_string b)
+      in
+      let req_s = Protocol.encode_request req and resp_s = Protocol.encode_response resp in
+      List.iter (fun p -> ignore (Protocol.decode_request p)) (flips req_s);
+      List.iter (fun p -> ignore (Protocol.decode_response p)) (flips resp_s);
+      List.for_all
+        (fun wire ->
+          let d = Frame.decoder () in
+          Frame.feed d wire;
+          match Frame.next d with Ok (Some _) -> false | Ok None | Error _ -> true)
+        (flips (Frame.encode_binary req_s) @ flips (Frame.encode_binary resp_s)))
 
 let protocol_rejects_bad_payloads () =
-  let is_bad_json = function Result.Error (Protocol.Bad_json_e _) -> true | _ -> false in
+  let is_bad_payload = function Result.Error (Protocol.Bad_json_e _) -> true | _ -> false in
   let is_bad_req = function Result.Error (Protocol.Bad_request_e _) -> true | _ -> false in
-  Alcotest.(check bool) "not json" true (is_bad_json (Protocol.decode_request "{not json"));
-  Alcotest.(check bool) "not an object" true (is_bad_json (Protocol.decode_request "[1,2]"));
-  Alcotest.(check bool) "wrong version" true
-    (Protocol.decode_request {|{"v":2,"op":"stats"}|} = Result.Error (Protocol.Bad_version_e 2));
-  Alcotest.(check bool) "missing version" true
-    (is_bad_req (Protocol.decode_request {|{"op":"stats"}|}));
-  Alcotest.(check bool) "unknown verb" true
-    (is_bad_req (Protocol.decode_request {|{"v":1,"op":"frobnicate"}|}));
-  Alcotest.(check bool) "missing field" true
-    (is_bad_req (Protocol.decode_request {|{"v":1,"op":"admit","id":3}|}));
-  Alcotest.(check bool) "ill-typed field" true
-    (is_bad_req (Protocol.decode_request {|{"v":1,"op":"query","id":"three"}|}));
+  let stats = Protocol.encode_request Protocol.Stats in
+  Alcotest.(check bool) "empty payload" true (is_bad_payload (Protocol.decode_request ""));
+  Alcotest.(check bool) "a v1 JSON payload is refused by version" true
+    (Protocol.decode_request {|{"v":1,"op":"stats"}|} = Result.Error (Protocol.Bad_version_e 123));
+  Alcotest.(check bool) "wrong version byte" true
+    (Protocol.decode_request ("\x01" ^ String.sub stats 1 1)
+    = Result.Error (Protocol.Bad_version_e 1));
+  Alcotest.(check bool) "unknown verb tag" true (is_bad_req (Protocol.decode_request "\x02\x7f"));
+  Alcotest.(check bool) "a response tag is no verb" true
+    (is_bad_req (Protocol.decode_request (Protocol.encode_response (Protocol.Cancel_ok { id = 1 }))));
+  Alcotest.(check bool) "trailing bytes" true (is_bad_req (Protocol.decode_request (stats ^ "x")));
+  Alcotest.(check bool) "truncated field" true
+    (is_bad_payload (Protocol.decode_request (String.sub (Protocol.encode_request (Protocol.Query { id = 3 })) 0 6)));
+  (* an i64 that does not fit OCaml's 63-bit int is refused, not wrapped *)
+  Alcotest.(check bool) "integer out of range" true
+    (is_bad_payload (Protocol.decode_request "\x02\x02\xff\xff\xff\xff\xff\xff\xff\x7f"));
+  Alcotest.(check bool) "unknown status state" true
+    (is_bad_payload (Protocol.decode_response "\x02\x83\x01\x00\x00\x00\x00\x00\x00\x00\x09"));
+  Alcotest.(check bool) "unknown error code" true
+    (is_bad_payload (Protocol.decode_response "\x02\x88\x09\x00\x00\x00\x00"));
+  Alcotest.(check bool) "string length past the end" true
+    (is_bad_payload (Protocol.decode_response "\x02\x86\xff\x00\x00\x00abc"));
   (* decode errors map onto typed error responses *)
   match Protocol.error_of_decode (Protocol.Bad_version_e 9) with
   | Protocol.Error { code = Protocol.Bad_version; _ } -> ()
@@ -213,20 +326,24 @@ let protocol_rejects_bad_payloads () =
 (* --- session --- *)
 
 let session_keeps_going_after_bad_payload () =
-  let s = Session.create ~id:0 ~peer:"test" () in
-  Session.feed s (Frame.encode "{broken json");
+  let s = Session.create ~id:0 () in
+  Session.feed s (Frame.encode_binary "");
   (match Session.next s with
   | Some (Session.Undecodable (Protocol.Error { code = Protocol.Bad_json; _ })) -> ()
-  | _ -> Alcotest.fail "expected an undecodable-payload error");
+  | _ -> Alcotest.fail "expected a malformed-payload error");
+  Session.feed s (Frame.encode_binary {|{"v":1,"op":"stats"}|});
+  (match Session.next s with
+  | Some (Session.Undecodable (Protocol.Error { code = Protocol.Bad_version; _ })) -> ()
+  | _ -> Alcotest.fail "expected a bad-version error for a v1 payload");
   Alcotest.(check bool) "connection survives payload errors" false (Session.want_close s);
-  Session.feed s (Frame.encode (Protocol.encode_request Protocol.Stats));
+  Session.feed s (Frame.encode_binary (Protocol.encode_request Protocol.Stats));
   (match Session.next s with
   | Some (Session.Request Protocol.Stats) -> ()
   | _ -> Alcotest.fail "expected the stats request");
-  Alcotest.(check int) "both frames counted" 2 (Session.frames_in s)
+  Alcotest.(check int) "all frames counted" 3 (Session.frames_in s)
 
 let session_closes_on_broken_framing () =
-  let s = Session.create ~id:1 ~peer:"test" () in
+  let s = Session.create ~id:1 () in
   Session.feed s "garbage that is not a frame\n";
   (match Session.next s with
   | Some (Session.Broken (Protocol.Error { code = Protocol.Bad_frame; _ })) -> ()
@@ -235,19 +352,27 @@ let session_closes_on_broken_framing () =
   Alcotest.(check bool) "no further messages" true (Session.next s = None)
 
 let session_output_is_framed () =
-  let s = Session.create ~id:2 ~peer:"test" () in
-  let resp = Protocol.Goodbye { records = 42 } in
-  Session.queue s resp;
+  let s = Session.create ~id:2 () in
+  let resps = List.init 5 (fun records -> Protocol.Goodbye { records }) in
+  List.iter (Session.queue s) resps;
   Alcotest.(check bool) "output pending" true (Session.pending s);
+  (* a socket that takes at most 7 bytes per write *)
+  let wire = Buffer.create 256 in
+  let rec pump () =
+    if Session.pending s then begin
+      Session.write_out s (fun b off len ->
+          let n = Int.min 7 len in
+          Buffer.add_subbytes wire b off n;
+          n);
+      pump ()
+    end
+  in
+  pump ();
   let d = Frame.decoder () in
-  Frame.feed d (Session.out_chunk s);
-  (match Frame.next d with
-  | Ok (Some payload) ->
-      Alcotest.(check bool) "payload decodes back" true
-        (Protocol.decode_response payload = Ok resp)
-  | _ -> Alcotest.fail "expected one complete frame");
-  Session.wrote s (String.length (Session.out_chunk s));
-  Alcotest.(check bool) "drained" false (Session.pending s)
+  Frame.feed d (Buffer.contents wire);
+  Alcotest.(check bool) "payloads decode back in order" true
+    (List.map Protocol.decode_response (drain d) = List.map Result.ok resps);
+  Alcotest.(check int) "responses counted" 5 (Session.responses_out s)
 
 (* --- admission semantics --- *)
 
@@ -569,16 +694,17 @@ let daemon_survives_malformed_clients () =
           Alcotest.(check bool) "connection closed after framing error" true
             (Frame.input ic = Error `Eof);
           Unix.close fd;
-          (* bad JSON in a well-formed frame keeps the connection alive *)
+          (* a version-1 JSON payload in a well-formed frame is refused by
+             version, and the connection stays alive *)
           let fd = connect () in
           let ic = Unix.in_channel_of_descr fd in
           let oc = Unix.out_channel_of_descr fd in
-          Frame.output oc "{broken";
+          Frame.output oc {|{"v":1,"op":"stats"}|};
           (match Frame.input ic with
           | Ok payload -> (
               match Protocol.decode_response payload with
-              | Ok (Protocol.Error { code = Protocol.Bad_json; _ }) -> ()
-              | _ -> Alcotest.fail "expected a bad-json error response")
+              | Ok (Protocol.Error { code = Protocol.Bad_version; _ }) -> ()
+              | _ -> Alcotest.fail "expected a bad-version error response")
           | Error _ -> Alcotest.fail "expected an error response");
           Frame.output oc (Protocol.encode_request Protocol.Stats);
           (match Frame.input ic with
@@ -592,6 +718,188 @@ let daemon_survives_malformed_clients () =
           Unix.close fd;
           Daemon.stop d;
           Thread.join th)
+
+let stats_text ic oc =
+  Frame.output oc (Protocol.encode_request Protocol.Stats);
+  match Result.map Protocol.decode_response (Frame.input ic) with
+  | Ok (Ok (Protocol.Stats_text text)) -> text
+  | _ -> Alcotest.fail "expected a stats reply"
+
+let metric_value text name =
+  List.find_map
+    (fun line ->
+      match String.split_on_char ' ' line with
+      | [ n; v ] when n = name -> float_of_string_opt v
+      | _ -> None)
+    (String.split_on_char '\n' text)
+
+(* The connection cap is the daemon's own constant, so the test runs the
+   real [gridbw serve] in a child process (its own descriptor table) and
+   opens more clients than the cap.  Client sockets here may sit past
+   FD_SETSIZE, so reads time out through SO_RCVTIMEO, not [select]. *)
+let daemon_refuses_past_connection_cap () =
+  with_tmpdir (fun dir ->
+      let sock = Filename.concat dir "d.sock" in
+      let exe =
+        Filename.concat (Filename.dirname Sys.executable_name)
+          (Filename.concat Filename.parent_dir_name (Filename.concat "bin" "gridbw.exe"))
+      in
+      let null = Unix.openfile "/dev/null" [ Unix.O_RDWR; Unix.O_CLOEXEC ] 0 in
+      let pid = Unix.create_process exe [| exe; "serve"; "--socket"; sock |] null null null in
+      Unix.close null;
+      let fds = ref [] in
+      let connect () =
+        let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        fds := fd :: !fds;
+        Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+        Unix.connect fd (Unix.ADDR_UNIX sock);
+        fd
+      in
+      let rec first_connect tries =
+        match connect () with
+        | fd -> fd
+        | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _) when tries > 0 ->
+            Unix.close (List.hd !fds);
+            fds := List.tl !fds;
+            Unix.sleepf 0.02;
+            first_connect (tries - 1)
+      in
+      let finish () =
+        List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) !fds;
+        (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
+        snd (Unix.waitpid [] pid)
+      in
+      let body () =
+        let fd = first_connect 500 in
+        let ic = Unix.in_channel_of_descr fd and oc = Unix.out_channel_of_descr fd in
+        let cap =
+          match metric_value (stats_text ic oc) "serve_connections_limit" with
+          | Some v -> int_of_float v
+          | None -> Alcotest.fail "stats lacks serve_connections_limit"
+        in
+        Alcotest.(check bool) "cap below FD_SETSIZE" true (cap > 0 && cap < 1024);
+        (* fill the cap with idle raw sockets (no channel buffers), then
+           queue the surplus behind them: accept order is connect order *)
+        for _ = 2 to cap do
+          ignore (connect ())
+        done;
+        let surplus = 5 in
+        List.iter
+          (fun fd ->
+            let ic = Unix.in_channel_of_descr fd in
+            (match Result.map Protocol.decode_response (Frame.input ic) with
+            | Ok (Ok (Protocol.Error { code = Protocol.Overloaded; _ })) -> ()
+            | _ -> Alcotest.fail "expected a typed overloaded refusal");
+            Alcotest.(check bool) "refused connection closed" true (Frame.input ic = Error `Eof))
+          (List.init surplus (fun _ -> connect ()));
+        let text = stats_text ic oc in
+        Alcotest.(check (option (float 0.))) "daemon still answers; refusals counted"
+          (Some (float_of_int surplus))
+          (metric_value text "serve_connections_refused_total");
+        Alcotest.(check (option (float 0.))) "the cap is full, not exceeded"
+          (Some (float_of_int cap))
+          (metric_value text "serve_connections_active")
+      in
+      match body () with
+      | () ->
+          Alcotest.(check bool) "daemon exits cleanly on SIGTERM" true
+            (finish () = Unix.WEXITED 0)
+      | exception e ->
+          ignore (finish ());
+          raise e)
+
+(* The /metrics listener holds at most 16 scrapers.  Seventeen queued
+   before the loop starts are all accepted in its first round; the one
+   past the cap is closed unanswered, the rest are served. *)
+let daemon_caps_metrics_scrapes () =
+  with_tmpdir (fun dir ->
+      let sock = Filename.concat dir "d.sock" in
+      let port =
+        let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+        Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+        let port = match Unix.getsockname fd with Unix.ADDR_INET (_, p) -> p | _ -> 0 in
+        Unix.close fd;
+        port
+      in
+      let cfg =
+        { (Daemon.default_config ~policy ~fabric:(fabric2 ()) ~metrics_port:port
+             (Daemon.Unix_socket sock))
+          with
+          Daemon.tick = 0.02 }
+      in
+      match Daemon.create cfg with
+      | Error e -> Alcotest.fail e
+      | Ok d ->
+          let cap = 16 in
+          let scrapers =
+            List.init (cap + 1) (fun _ ->
+                let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+                Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+                fd)
+          in
+          let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          Unix.connect fd (Unix.ADDR_UNIX sock);
+          let th = Thread.create Daemon.run d in
+          (* a stats reply comes in a later round than the first one,
+             which accepted every queued scraper *)
+          ignore (stats_text (Unix.in_channel_of_descr fd) (Unix.out_channel_of_descr fd));
+          let closed, kept =
+            List.partition
+              (fun s -> match Unix.select [ s ] [] [] 0. with [], _, _ -> false | _ -> true)
+              scrapers
+          in
+          Alcotest.(check int) "scrapers held at the cap" cap (List.length kept);
+          Alcotest.(check int) "the one past the cap closed" 1 (List.length closed);
+          List.iter
+            (fun s ->
+              let req = "GET /metrics HTTP/1.0\r\n\r\n" in
+              ignore (Unix.write_substring s req 0 (String.length req));
+              (match Unix.select [ s ] [] [] 5. with
+              | [], _, _ -> Alcotest.fail "scraper got no answer"
+              | _ -> ());
+              let ic = Unix.in_channel_of_descr s in
+              Alcotest.(check string) "kept scrapers are served" "HTTP/1.0 200 OK\r"
+                (input_line ic))
+            kept;
+          List.iter Unix.close (fd :: scrapers);
+          Daemon.stop d;
+          Thread.join th)
+
+(* Every traced request records a frame-decode and a protocol-parse
+   sample: the span clock resolves those sub-µs stages. *)
+let daemon_span_stage_counts () =
+  with_tmpdir (fun dir ->
+      let sock = Filename.concat dir "d.sock" in
+      let obs = Obs.create () in
+      let cfg =
+        { (Daemon.default_config ~policy ~fabric:(fabric2 ())
+             ~span_out:(Filename.concat dir "spans.bin") (Daemon.Unix_socket sock))
+          with
+          Daemon.tick = 0.02 }
+      in
+      match Daemon.create ~obs cfg with
+      | Error e -> Alcotest.fail e
+      | Ok d -> (
+          let th = Thread.create Daemon.run d in
+          let lg =
+            Loadgen.default_config ~connections:2 ~requests:200 ~seed:3L ~mean_interarrival:50.
+              ~fabric:(fabric2 ()) (Daemon.Unix_socket sock)
+          in
+          let report = Loadgen.run lg in
+          Daemon.stop d;
+          Thread.join th;
+          match report with
+          | Error e -> Alcotest.fail e
+          | Ok r ->
+              let count name =
+                Gridbw_obs.Metrics.hist_count
+                  (Gridbw_obs.Metrics.histogram (Obs.metrics obs) ("serve_" ^ name ^ "_ns"))
+              in
+              Alcotest.(check int) "one span per request" r.Loadgen.sent (count "span_total");
+              Alcotest.(check int) "frame_decode samples = spans" (count "span_total")
+                (count "stage_frame_decode");
+              Alcotest.(check int) "protocol_parse samples = spans" (count "span_total")
+                (count "stage_protocol_parse")))
 
 let suites =
   [
@@ -607,6 +915,8 @@ let suites =
       [
         prop_request_roundtrip;
         prop_response_roundtrip;
+        prop_strict_prefixes_fail;
+        prop_corruption_never_raises;
         case "malformed payloads: typed decode errors" protocol_rejects_bad_payloads;
       ] );
     ( "serve.session",
@@ -631,5 +941,8 @@ let suites =
       [
         slow_case "end to end: loadgen, shutdown, restart" end_to_end_live_daemon;
         case "malformed clients get typed errors" daemon_survives_malformed_clients;
+        case "connection cap: surplus clients get a typed refusal" daemon_refuses_past_connection_cap;
+        case "/metrics cap: a scraper past it is closed" daemon_caps_metrics_scrapes;
+        case "traced run: stage samples match span count" daemon_span_stage_counts;
       ] );
   ]

@@ -180,19 +180,17 @@ let test_frame_tag_validation () =
       Alcotest.(check string) "payload survives" "payload" payload;
       Alcotest.(check int) "frame size" (String.length s) next
   | _ -> Alcotest.fail "frame does not decode");
+  (* bytes past [stop] are not there yet *)
+  Alcotest.(check bool) "stop bounds the read" true
+    (Frame.decode ~stop:(String.length s - 1) (s ^ "x") ~pos:0 = Codec.Incomplete);
   (* An event decoder must refuse a frame with someone else's tag. *)
   match Event_codec.Binary.decode s ~pos:0 with
   | Codec.Corrupt _ -> ()
   | _ -> Alcotest.fail "wrong-tag frame accepted as an event"
 
-let test_line_hexline_roundtrip () =
+let test_hexline_roundtrip () =
   List.iter
     (fun payload ->
-      let b = Buffer.create 32 in
-      Frame.Line.encode b payload;
-      (match Frame.Line.decode (Buffer.contents b) ~pos:0 with
-      | Codec.Value (p, _) -> Alcotest.(check string) "line payload" payload p
-      | _ -> Alcotest.fail "line frame does not decode");
       let b = Buffer.create 32 in
       Frame.Hexline.encode b payload;
       match Frame.Hexline.decode (Buffer.contents b) ~pos:0 with
@@ -252,7 +250,7 @@ let suites =
         prop_bitflip_never_passes;
         prop_truncation_is_incomplete;
         case "frame: tag byte validated by record codecs" test_frame_tag_validation;
-        case "frame: Line and Hexline round-trip" test_line_hexline_roundtrip;
+        case "frame: Hexline round-trip" test_hexline_roundtrip;
         case "wal: mixed jsonl/binary segment replays" test_wal_mixed_segment;
       ] );
   ]
