@@ -31,7 +31,7 @@ module Npc = Gridbw_core.Npc
 module Unit_exact = Gridbw_core.Unit_exact
 module Maxmin = Gridbw_baseline.Maxmin
 module Fluid = Gridbw_baseline.Fluid
-module Profile = Gridbw_alloc.Profile
+module Profile_ref = Gridbw_alloc.Profile_ref
 module Timeline = Gridbw_alloc.Timeline
 module Rng = Gridbw_prng.Rng
 module Runner = Gridbw_experiments.Runner
@@ -202,7 +202,7 @@ let maxover_ops =
 
    The same GREEDY admission kernel under the three telemetry states:
    disabled ctx (the ?obs default everywhere), metrics-only ctx (counters +
-   spans, no event sink), and a JSONL sink writing every event to a buffer.
+   spans, no event sink), and a binary sink writing every event to a buffer.
    BENCH_obs.json records these; the disabled column must stay within noise
    of the plain fig5 kernel. *)
 
@@ -217,28 +217,28 @@ let obs_tests =
            Flexible.greedy
              ~ctx:(Runtime.make ~obs:(Obs.create ()) ())
              fabric policy flexible_workload));
-    Test.make ~name:"obs:greedy-jsonl-buffer"
+    Test.make ~name:"obs:greedy-binary-buffer"
       (Staged.stage (fun () ->
            Buffer.clear buf;
            Flexible.greedy
-             ~ctx:(Runtime.make ~obs:(Obs.create ~sink:(Sink.jsonl_buffer buf) ()) ())
+             ~ctx:(Runtime.make ~obs:(Obs.create ~sink:(Sink.binary_buffer buf) ()) ())
              fabric policy flexible_workload));
     Test.make ~name:"obs:window-disabled"
       (Staged.stage (fun () ->
            Flexible.window fabric policy ~step:400. flexible_workload));
-    Test.make ~name:"obs:window-jsonl-buffer"
+    Test.make ~name:"obs:window-binary-buffer"
       (Staged.stage (fun () ->
            Buffer.clear buf;
            Flexible.window
-             ~ctx:(Runtime.make ~obs:(Obs.create ~sink:(Sink.jsonl_buffer buf) ()) ())
+             ~ctx:(Runtime.make ~obs:(Obs.create ~sink:(Sink.binary_buffer buf) ()) ())
              fabric policy ~step:400. flexible_workload));
   ]
 
 (* --- span tracing overhead benchmarks ---
 
    The per-request cost of the serve path's trace spans, isolated from
-   the serve loop: open/record/finish one span, encode it in each wire
-   form, and persist it to the flight-recorder ring.  BENCH_obs.json
+   the serve loop: open/record/finish one span, encode it as a binary
+   frame, and persist it to the flight-recorder ring.  BENCH_obs.json
    records these; the lifecycle cost bounds what `--span-out` can add
    per request. *)
 
@@ -267,8 +267,6 @@ let span_tests =
            Buffer.clear buf;
            Span.Binary.encode buf finished;
            Buffer.length buf));
-    Test.make ~name:"span:jsonl-encode"
-      (Staged.stage (fun () -> String.length (Span.to_json finished)));
     Test.make ~name:"span:flight-append"
       (Staged.stage (fun () -> Flight.append (Lazy.force flight) finished));
   ]
@@ -385,11 +383,11 @@ let admission_tests =
       (Staged.stage (fun () ->
            let p =
              List.fold_left
-               (fun p (f, u, bw) -> Profile.add p ~from_:f ~until:u bw)
-               Profile.empty maxover_ops
+               (fun p (f, u, bw) -> Profile_ref.add p ~from_:f ~until:u bw)
+               Profile_ref.empty maxover_ops
            in
            List.fold_left
-             (fun acc (f, u, _) -> acc +. Profile.max_over p ~from_:f ~until:u)
+             (fun acc (f, u, _) -> acc +. Profile_ref.max_over p ~from_:f ~until:u)
              0. maxover_ops));
     Test.make ~name:"admission:timeline-maxover"
       (Staged.stage (fun () ->
@@ -436,12 +434,12 @@ let base_tests =
         (Staged.stage (fun () -> Maxmin.rates ~caps_in:caps ~caps_out:caps maxmin_flows));
       Test.make ~name:"alloc:profile-100-reservations"
         (Staged.stage (fun () ->
-             let p = ref Profile.empty in
+             let p = ref Profile_ref.empty in
              for i = 0 to 99 do
                let t = float_of_int (i mod 17) in
-               p := Profile.add !p ~from_:t ~until:(t +. 5.) 10.
+               p := Profile_ref.add !p ~from_:t ~until:(t +. 5.) 10.
              done;
-             Profile.peak !p));
+             Profile_ref.peak !p));
       Test.make ~name:"sim:event-queue-1k"
         (Staged.stage (fun () ->
              let q = Gridbw_sim.Event_queue.create () in

@@ -1,4 +1,5 @@
 module Event = Gridbw_obs.Event
+module Trace_file = Gridbw_obs.Trace_file
 module Request = Gridbw_request.Request
 module Allocation = Gridbw_alloc.Allocation
 module Rate_profile = Gridbw_alloc.Rate_profile
@@ -73,56 +74,16 @@ let of_events events =
     Ok { events; requests; accepted }
   with Invalid_argument msg -> Error ("invalid event fields: " ^ msg)
 
-let of_lines lines =
-  let rec parse n acc = function
-    | [] -> Ok (List.rev acc)
-    | line :: rest ->
-        if String.trim line = "" then parse (n + 1) acc rest
-        else if Gridbw_obs.Span.looks_like_json_span line then
-          (* serve traces interleave request spans with events; replay
-             only consumes the events *)
-          parse (n + 1) acc rest
-        else begin
-          match Event.of_line line with
-          | Ok e -> parse (n + 1) (e :: acc) rest
-          | Error msg -> Error (Printf.sprintf "line %d: %s" n msg)
-        end
-  in
-  match parse 1 [] lines with Ok events -> of_events events | Error _ as e -> e
+(* Serve traces interleave request spans with events; replay consumes
+   only the events. *)
+let of_records records =
+  of_events
+    (List.filter_map
+       (function Trace_file.Event e -> Some e | Trace_file.Span _ -> None)
+       records)
 
-(* Binary (or mixed-format) traces: decode record by record, sniffing
-   each one's form from its first byte. *)
-let of_binary content =
-  let module Codec = Gridbw_wire.Codec in
-  let len = String.length content in
-  let rec go n acc pos =
-    if pos >= len then of_events (List.rev acc)
-    else
-      match Gridbw_obs.Event_codec.sniff_decode content ~pos with
-      | Codec.Value (e, next) -> go (n + 1) (e :: acc) next
-      | Codec.Incomplete -> Error (Printf.sprintf "record %d: truncated trace" n)
-      | Codec.Corrupt msg -> (
-          (* Not an event: serve traces interleave span records (their
-             own frame tag / JSON shape) — skip anything that decodes
-             as a span, keep the error otherwise. *)
-          match Gridbw_obs.Span.sniff_decode content ~pos with
-          | Codec.Value (_, next) -> go (n + 1) acc next
-          | _ -> Error (Printf.sprintf "record %d: %s" n msg))
-  in
-  go 1 [] 0
-
-let of_file path =
-  let ic = open_in_bin path in
-  let content =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  (* The binary magic byte is not printable ASCII: a trace opening with
-     it is binary (possibly mixed), anything else is plain JSONL. *)
-  if String.length content > 0 && Gridbw_wire.Frame.is_binary content.[0] then
-    of_binary content
-  else of_lines (String.split_on_char '\n' content)
+let of_string s = Result.bind (Trace_file.of_string s) of_records
+let of_file path = Result.bind (Trace_file.load path) of_records
 
 let fabric t =
   let rec leading acc = function

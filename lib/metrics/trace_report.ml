@@ -2,58 +2,23 @@
 
 module Span = Gridbw_obs.Span
 module Metrics = Gridbw_obs.Metrics
-module Codec = Gridbw_wire.Codec
-module Frame = Gridbw_wire.Frame
+module Trace_file = Gridbw_obs.Trace_file
 
 type t = { spans : Span.t list; skipped : int }
 
 let spans t = t.spans
 let skipped t = t.skipped
 
-(* Mixed traces interleave span records with event records (a serve
-   trace, a WAL segment fed directly); anything that is not a span is
-   counted and skipped.  Binary records are sniffed frame by frame,
-   text lines by shape. *)
-let of_string content =
-  let len = String.length content in
-  let rec go acc skipped pos =
-    if pos >= len then Ok { spans = List.rev acc; skipped }
-    else if Frame.is_binary content.[pos] then
-      match Frame.decode content ~pos with
-      | Codec.Incomplete -> Error "truncated binary record at end of trace"
-      | Codec.Corrupt msg -> Error ("corrupt binary record: " ^ msg)
-      | Codec.Value ((tag, body), next) ->
-          if tag <> Span.frame_tag then go acc (skipped + 1) next
-          else (
-            match Span.Binary.of_body body with
-            | Ok sp -> go (sp :: acc) skipped next
-            | Error msg -> Error ("corrupt span record: " ^ msg))
-    else
-      let nl = match String.index_from_opt content pos '\n' with
-        | Some nl -> nl
-        | None -> len
-      in
-      let line = String.sub content pos (nl - pos) in
-      let next = nl + 1 in
-      if String.trim line = "" then go acc skipped next
-      else if Span.looks_like_json_span line then
-        match Result.bind (Gridbw_obs.Json.parse line) Span.of_json with
-        | Ok sp -> go (sp :: acc) skipped next
-        | Error msg -> Error ("corrupt span line: " ^ msg)
-      else go acc (skipped + 1) next
+(* Serve traces may interleave span records with event records; events
+   are counted and skipped. *)
+let of_records records =
+  let spans =
+    List.filter_map (function Trace_file.Span sp -> Some sp | Trace_file.Event _ -> None) records
   in
-  go [] 0 0
+  { spans; skipped = List.length records - List.length spans }
 
-let load path =
-  match open_in_bin path with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-      let content =
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      of_string content
+let of_string s = Result.map of_records (Trace_file.of_string s)
+let load path = Result.map of_records (Trace_file.load path)
 
 (* --- rendering --- *)
 

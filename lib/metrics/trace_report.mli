@@ -1,8 +1,8 @@
 (** Offline aggregation of request trace spans ([gridbw trace-report]).
 
-    Reads any trace file — binary frames, JSONL, or a mix — keeps the
-    span records and skips everything else (events, WAL records), then
-    renders a per-stage latency breakdown (p50/p95/p99 through
+    Reads a trace file through {!Gridbw_obs.Trace_file}, keeps the span
+    records and skips the event records, then renders a per-stage
+    latency breakdown (p50/p95/p99 through
     {!Gridbw_obs.Metrics.percentile}'s log₂-bucket estimate) and the
     top-K slowest requests. *)
 
@@ -17,7 +17,7 @@ val spans : t -> Gridbw_obs.Span.t list
 (** In file order. *)
 
 val skipped : t -> int
-(** Non-span records skipped. *)
+(** Event records skipped. *)
 
 val render : ?top:int -> t -> string
 (** The report: per-stage table (count, p50/p95/p99, total, share of

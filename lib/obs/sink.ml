@@ -2,27 +2,8 @@ type t = { emit : Event.t -> unit; flush : unit -> unit }
 
 let noop = { emit = (fun _ -> ()); flush = (fun () -> ()) }
 
-let jsonl oc =
-  {
-    emit =
-      (fun ev ->
-        output_string oc (Event.to_json ev);
-        output_char oc '\n');
-    flush = (fun () -> flush oc);
-  }
-
-let jsonl_buffer buf =
-  {
-    emit =
-      (fun ev ->
-        Buffer.add_string buf (Event.to_json ev);
-        Buffer.add_char buf '\n');
-    flush = (fun () -> ());
-  }
-
-(* Binary-framed trace sink; the default for hot paths.  One scratch
-   buffer is reused across events so steady-state emission allocates
-   only the event payload itself. *)
+(* Binary-framed trace sink.  One scratch buffer is reused across events
+   so steady-state emission allocates only the event payload itself. *)
 let binary oc =
   let scratch = Buffer.create 256 in
   {

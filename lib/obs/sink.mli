@@ -9,16 +9,10 @@ type t = { emit : Event.t -> unit; flush : unit -> unit }
 val noop : t
 (** Drops every event.  [flush] does nothing. *)
 
-val jsonl : out_channel -> t
-(** One compact JSON object per line ({!Event.to_json}).  [flush] flushes
-    the channel (the caller closes it). *)
-
-val jsonl_buffer : Buffer.t -> t
-(** Same format, appended to a buffer — for tests and benchmarks. *)
-
 val binary : out_channel -> t
-(** Length-prefixed binary frames ({!Event_codec.Binary}); the default
-    trace form on hot paths.  [flush] flushes the channel. *)
+(** Length-prefixed binary frames ({!Event_codec.Binary}), the one trace
+    form; [gridbw export] turns a trace file into JSON lines.  [flush]
+    flushes the channel (the caller closes it). *)
 
 val binary_buffer : Buffer.t -> t
 (** Same binary frames, appended to a buffer. *)

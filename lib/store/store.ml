@@ -12,7 +12,6 @@ type config = {
   wal : Wal.config;
   snapshot_bytes : int;
   kill_after : int option;
-  codec : Wal.format;  (* framing + payload form for new WAL appends *)
 }
 
 let default_config =
@@ -20,23 +19,12 @@ let default_config =
     wal = Wal.default_config;
     snapshot_bytes = 4 * 1024 * 1024;
     kill_after = None;
-    codec = Wal.Binary;
   }
 
-(* WAL record payloads: JSONL journals carry the JSON text line, binary
-   journals carry the bare binary event body (the WAL frame supplies
-   length and CRC).  Reading back is keyed by the per-record format the
-   scanner sniffed, never by the store's own codec, so mixed-format
-   journals recover cleanly. *)
-let payload_of_event codec ev =
-  match codec with
-  | Wal.Jsonl -> Event.to_json ev
-  | Wal.Binary -> Gridbw_obs.Event_codec.Binary.body_of ev
-
-let event_of_record (r : Wal.record) =
-  match r.Wal.format with
-  | Wal.Jsonl -> Event.of_line r.Wal.payload
-  | Wal.Binary -> Gridbw_obs.Event_codec.Binary.of_body r.Wal.payload
+(* A WAL record's payload is the bare binary event body: the WAL frame
+   supplies length and CRC. *)
+let payload_of_event = Gridbw_obs.Event_codec.Binary.body_of
+let event_of_record (r : Wal.record) = Gridbw_obs.Event_codec.Binary.of_body r.Wal.payload
 
 type t = {
   dir : string;
@@ -179,7 +167,7 @@ let relevant = function Event.Dispatch _ -> false | _ -> true
 let log t ev =
   if relevant ev then begin
     apply t ev;
-    Wal.append t.writer (payload_of_event t.config.codec ev);
+    Wal.append t.writer (payload_of_event ev);
     Obs.count t.obs "store_wal_records_total";
     maybe_snapshot t
   end
@@ -267,7 +255,7 @@ let create ?(config = default_config) ?obs ?(time = 0.) ~dir fabric =
   mkdir_p dir;
   write_header ~dir fabric;
   let writer =
-    Wal.create ~config:config.wal ~format:config.codec ?kill_after:config.kill_after
+    Wal.create ~config:config.wal ?kill_after:config.kill_after
       ~on_sync:(fun n ->
         Obs.count obs "store_fsync_total";
         Obs.observe obs "store_fsync_batch_size" (float_of_int n))
@@ -383,8 +371,7 @@ let recover ?(config = default_config) ?obs ~dir () =
               (* Physically drop the torn tail before reopening for append. *)
               Wal.truncate ~dir s ~keep;
               let writer =
-                Wal.reopen ~config:config.wal ~format:config.codec
-                  ?kill_after:config.kill_after
+                Wal.reopen ~config:config.wal ?kill_after:config.kill_after
                   ~on_sync:(fun n ->
                     Obs.count obs "store_fsync_total";
                     Obs.observe obs "store_fsync_batch_size" (float_of_int n))

@@ -2,11 +2,11 @@
 
     A store directory holds a header ([store.json], written and fsynced at
     creation), a CRC-framed {!Wal} of admission-relevant events
-    (arrival/accept/reject/preempt/shed/capacity-revision — the
-    {!Gridbw_obs.Event_codec} binary form by default, the JSONL form when
-    [config.codec = Wal.Jsonl]; recovery sniffs the form per record, so
-    mixed journals replay fine), and atomic {!Snapshot}s triggered by
-    accumulated log size.
+    (arrival/accept/reject/preempt/shed/capacity-revision, each in the
+    {!Gridbw_obs.Event_codec} binary form), and atomic {!Snapshot}s
+    triggered by accumulated log size.  A journal that does not open with
+    a binary capacity prefix (the older text journals, for one) is
+    refused by {!recover} without touching its files.
 
     The store plugs into the telemetry plane: {!attach} wraps an
     {!Gridbw_obs.Obs.ctx} so every event the instrumented admission path
@@ -30,10 +30,6 @@ type config = {
   wal : Wal.config;
   snapshot_bytes : int;  (** write a snapshot after this many WAL bytes since the last one *)
   kill_after : int option;  (** crash-drill hook, see {!Wal.create} *)
-  codec : Wal.format;
-      (** framing and payload form for new WAL appends; [Binary] by
-          default.  Reading back is always per-record, independent of
-          this setting. *)
 }
 
 val default_config : config

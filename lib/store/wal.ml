@@ -1,32 +1,11 @@
-(* Write-ahead log with group commit and segment rotation.  Record
-   framing is delegated to lib/wire: the historical CRC32-hex JSONL line
-   ({!Gridbw_wire.Frame.Hexline}) and the length-prefixed binary frame
-   (tag {!record_tag}), selected per writer via [format].  Readers sniff
-   the format per record — the binary magic byte 0xB1 is not printable
-   ASCII — so one segment may mix both forms (a journal created under
-   one format and reopened under the other keeps replaying cleanly). *)
+(* Write-ahead log with group commit and segment rotation.  Every record
+   is one lib/wire binary frame under tag {!record_tag}. *)
 
 module Codec = Gridbw_wire.Codec
-module Crc32 = Gridbw_wire.Crc32
 module Frame = Gridbw_wire.Frame
-
-type format = Jsonl | Binary
-
-let format_name = function Jsonl -> "jsonl" | Binary -> "binary"
 
 (* Frame tag for WAL records; the event codec owns 0x01. *)
 let record_tag = 0x02
-
-(* Compatibility wrappers over the shared implementations; the WAL was
-   the original home of this CRC/framing code. *)
-let crc32 = Crc32.digest
-
-let frame payload =
-  let b = Buffer.create (String.length payload + 16) in
-  Frame.Hexline.encode b payload;
-  Buffer.contents b
-
-let parse_frame = Frame.Hexline.parse_frame
 
 type config = { batch : int; delay : float; segment_bytes : int }
 
@@ -41,7 +20,6 @@ let validate_config c =
 type writer = {
   dir : string;
   config : config;
-  format : format;
   on_sync : int -> unit;
   kill_after : int option;
   mutable oc : out_channel;
@@ -74,13 +52,12 @@ let segments dir =
 let open_segment path =
   open_out_gen [ Open_wronly; Open_creat; Open_append; Open_binary ] 0o644 path
 
-let make_writer ?(config = default_config) ?(format = Binary) ?kill_after
+let make_writer ?(config = default_config) ?kill_after
     ?(on_sync = fun _ -> ()) ~dir ~records ~total_bytes ~seg_path ~seg_bytes () =
   validate_config config;
   {
     dir;
     config;
-    format;
     on_sync;
     kill_after;
     oc = open_segment seg_path;
@@ -93,12 +70,12 @@ let make_writer ?(config = default_config) ?(format = Binary) ?kill_after
     oldest_unsynced = 0.;
   }
 
-let create ?config ?format ?kill_after ?on_sync ~dir () =
+let create ?config ?kill_after ?on_sync ~dir () =
   let seg_path = Filename.concat dir (seg_name 0) in
-  make_writer ?config ?format ?kill_after ?on_sync ~dir ~records:0 ~total_bytes:0 ~seg_path
+  make_writer ?config ?kill_after ?on_sync ~dir ~records:0 ~total_bytes:0 ~seg_path
     ~seg_bytes:0 ()
 
-let reopen ?config ?format ?kill_after ?on_sync ~dir ~records () =
+let reopen ?config ?kill_after ?on_sync ~dir ~records () =
   let segs = segments dir in
   let total_bytes =
     List.fold_left (fun acc (_, p) -> acc + (Unix.stat p).Unix.st_size) 0 segs
@@ -108,7 +85,7 @@ let reopen ?config ?format ?kill_after ?on_sync ~dir ~records () =
     | (_, p) :: _ -> (p, (Unix.stat p).Unix.st_size)
     | [] -> (Filename.concat dir (seg_name records), 0)
   in
-  make_writer ?config ?format ?kill_after ?on_sync ~dir ~records ~total_bytes ~seg_path
+  make_writer ?config ?kill_after ?on_sync ~dir ~records ~total_bytes ~seg_path
     ~seg_bytes ()
 
 let sync w =
@@ -128,10 +105,8 @@ let rotate w =
   w.seg_bytes <- 0
 
 let append w payload =
-  let b = Buffer.create (String.length payload + 24) in
-  (match w.format with
-  | Jsonl -> Frame.Hexline.encode b payload
-  | Binary -> Frame.add b ~tag:record_tag payload);
+  let b = Buffer.create (String.length payload + Frame.overhead) in
+  Frame.add b ~tag:record_tag payload;
   let framed = Buffer.contents b in
   (match w.kill_after with
   | Some n when w.appended + 1 >= n ->
@@ -163,7 +138,6 @@ type record = {
   seg : string;
   off : int;
   bytes : int;
-  format : format;
   payload : string;
 }
 
@@ -181,21 +155,13 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* Decode one record at [pos], sniffing its format from the first byte. *)
-let decode_record content ~pos : (format * string) Codec.decoded =
-  if Frame.is_binary content.[pos] then
-    match Frame.decode content ~pos with
-    | Codec.Value ((tag, payload), next) ->
-        if tag <> record_tag then
-          Corrupt (Printf.sprintf "unexpected frame tag %d in WAL" tag)
-        else Value ((Binary, payload), next)
-    | Incomplete -> Incomplete
-    | Corrupt msg -> Corrupt msg
-  else
-    match Frame.Hexline.decode content ~pos with
-    | Codec.Value (payload, next) -> Value ((Jsonl, payload), next)
-    | Incomplete -> Incomplete
-    | Corrupt msg -> Corrupt msg
+let decode_record content ~pos : string Codec.decoded =
+  match Frame.decode content ~pos with
+  | Codec.Value ((tag, payload), next) ->
+      if tag <> record_tag then Corrupt (Printf.sprintf "unexpected frame tag %d in WAL" tag)
+      else Value (payload, next)
+  | Incomplete -> Incomplete
+  | Corrupt msg -> Corrupt msg
 
 let scan ~dir =
   let segs = segments dir in
@@ -222,17 +188,9 @@ let scan ~dir =
          let pos = ref 0 in
          while !pos < len do
            match decode_record content ~pos:!pos with
-           | Codec.Value ((format, payload), next) ->
+           | Codec.Value (payload, next) ->
                records :=
-                 {
-                   index = !index;
-                   seg;
-                   off = !pos;
-                   bytes = next - !pos;
-                   format;
-                   payload;
-                 }
-                 :: !records;
+                 { index = !index; seg; off = !pos; bytes = next - !pos; payload } :: !records;
                incr index;
                pos := next
            | Incomplete ->

@@ -1,19 +1,10 @@
 (** Write-ahead log with group commit and segment rotation.
 
-    Record framing comes from {!Gridbw_wire.Frame} and is selected per
-    writer:
-
-    - [Jsonl]: the historical text line ["%08x %d %s\n"] — CRC32 of the
-      payload in hex, payload byte length, payload (a single-line JSON
-      event; this form never carries raw newlines).
-    - [Binary] (the default): a length-prefixed binary frame — 0xB1
-      magic, tag byte, little-endian length, payload, CRC32 trailer.
-
-    Either way the framing makes every torn or corrupted tail
-    detectable, and because the binary magic byte is not printable
-    ASCII, readers sniff the format {e per record}: segments may mix
-    both forms, so reopening an old JSONL journal with a binary writer
-    (or vice versa) keeps the log replayable.
+    Every record is one {!Gridbw_wire.Frame} binary frame under tag 0x02:
+    0xB1 magic, tag byte, little-endian length, payload, CRC32 trailer.
+    The framing makes every torn or corrupted tail detectable.  A record
+    in any other form (such as the text lines older journals used) is
+    corrupt, and scanning stops before it.
 
     Segments are files [wal-<index>.log] named by the global index of
     their first record, so the directory listing alone orders the log and
@@ -24,10 +15,6 @@
     sooner when the oldest unsynced record is older than [delay] seconds
     (checked on the next append), or on {!sync}/{!close}. *)
 
-type format = Jsonl | Binary
-
-val format_name : format -> string
-
 type config = {
   batch : int;  (** records per fsync group; 1 = fsync every record *)
   delay : float;  (** max seconds an unsynced record may age before the next append forces a sync *)
@@ -37,21 +24,9 @@ type config = {
 val default_config : config
 (** [{ batch = 64; delay = 0.05; segment_bytes = 4 MiB }] *)
 
-val crc32 : string -> int32
-(** IEEE 802.3 CRC32 — alias of {!Gridbw_wire.Crc32.digest}. *)
-
-val frame : string -> string
-(** One [Jsonl]-framed record, newline included.  Raises
-    [Invalid_argument] when the payload contains a newline. *)
-
-val parse_frame : string -> (string, string) result
-(** Validate one [Jsonl] record line (without its newline) back to its
-    payload; [Error] names what broke. *)
-
 type writer = {
   dir : string;
   config : config;
-  format : format;  (** framing used for new appends *)
   on_sync : int -> unit;
   kill_after : int option;
   mutable oc : out_channel;
@@ -65,19 +40,18 @@ type writer = {
 }
 
 val create :
-  ?config:config -> ?format:format -> ?kill_after:int -> ?on_sync:(int -> unit) ->
+  ?config:config -> ?kill_after:int -> ?on_sync:(int -> unit) ->
   dir:string -> unit -> writer
 (** Open a fresh log in [dir] (first segment [wal-0000000000.log]).
-    [format] defaults to [Binary].  [on_sync n] is called after every
+    [on_sync n] is called after every
     fsync with the number of records in the synced group.  [kill_after n]
     is a crash-injection hook: the [n]th append writes only half of its
     frame, flushes, and SIGKILLs the process — a deterministically torn
     tail for recovery drills. *)
 
 val append : writer -> string -> unit
-(** Frame and buffer one payload, then group-commit per the config.
-    [Jsonl] payloads must not contain a newline; [Binary] payloads are
-    arbitrary bytes. *)
+(** Frame and buffer one payload (arbitrary bytes), then group-commit per
+    the config. *)
 
 val sync : writer -> unit
 (** Flush and fsync any unsynced records now. *)
@@ -92,7 +66,6 @@ type record = {
   seg : string;  (** segment path *)
   off : int;  (** byte offset of the record inside its segment *)
   bytes : int;  (** framed size on disk *)
-  format : format;  (** framing this record was found in *)
   payload : string;
 }
 
@@ -107,8 +80,7 @@ type scan = {
 }
 
 val scan : dir:string -> scan
-(** Read every segment in index order, sniff each record's format, and
-    validate its frame.  Scanning stops at the first invalid record
+(** Read every segment in index order and validate each record's frame.  Scanning stops at the first invalid record
     (torn frame, malformed field, length or CRC mismatch, segment-index
     gap); everything after it — including later segments — is reported
     beyond the cut. *)
@@ -120,9 +92,7 @@ val truncate : dir:string -> scan -> keep:int -> unit
     when a CRC-valid record fails event parsing). *)
 
 val reopen :
-  ?config:config -> ?format:format -> ?kill_after:int -> ?on_sync:(int -> unit) ->
+  ?config:config -> ?kill_after:int -> ?on_sync:(int -> unit) ->
   dir:string -> records:int -> unit -> writer
 (** Open the (already truncated) log for append: the last remaining
-    segment is continued, [records] restates the global record count.
-    [format] (default [Binary]) governs new appends only — existing
-    records keep whatever framing they were written with. *)
+    segment is continued, [records] restates the global record count. *)

@@ -1,8 +1,8 @@
-(* The one wire-codec interface every record family implements twice:
-   once as JSONL (debug/interop) and once as the length-prefixed binary
-   form.  Encoders append to a caller-owned [Buffer.t]; decoders read
-   from a substring and report how far they got, so the same codec
-   drives files, sockets, and incremental feeds without copying. *)
+(* The one wire-codec interface every record family implements over the
+   length-prefixed binary frame ({!Frame}).  Encoders append to a
+   caller-owned [Buffer.t]; decoders read from a substring and report how
+   far they got, so the same codec drives files, sockets, and incremental
+   feeds without copying. *)
 
 type 'a decoded =
   | Value of 'a * int  (* decoded value and the position just past it *)
@@ -34,16 +34,3 @@ let of_string (type a) (module C : S with type t = a) s =
   | Value _ -> Error (C.name ^ ": trailing bytes after record")
   | Incomplete -> Error (C.name ^ ": truncated record")
   | Corrupt msg -> Error (C.name ^ ": " ^ msg)
-
-(* Decode every record in a string, stopping cleanly at the end. *)
-let all_of_string (type a) (module C : S with type t = a) s =
-  let len = String.length s in
-  let rec loop acc pos =
-    if pos >= len then Ok (List.rev acc)
-    else
-      match C.decode s ~pos with
-      | Value (v, next) -> loop (v :: acc) next
-      | Incomplete -> Error (C.name ^ ": truncated record at end of input")
-      | Corrupt msg -> Error (C.name ^ ": " ^ msg)
-  in
-  loop [] 0

@@ -207,9 +207,9 @@ let test_mutant_bundle_replays () =
             (fun file ->
               Alcotest.(check bool) (file ^ " written") true
                 (Sys.file_exists (Filename.concat case file)))
-            [ "workload.csv"; "events.jsonl"; "meta.json" ];
+            [ "workload.csv"; "events.bin"; "meta.json" ];
           let sc = f.Fuzz.scenario in
-          match Replay.of_file (Filename.concat case "events.jsonl") with
+          match Replay.of_file (Filename.concat case "events.bin") with
           | Error msg -> Alcotest.failf "bundle trace does not parse: %s" msg
           | Ok r ->
               (* The leading Capacity events carry the scenario fabric. *)

@@ -180,7 +180,7 @@ let tracing_does_not_change_decisions () =
   let reqs = random_requests ~seed:5L ~n:60 f in
   let plain = Flexible.run `Greedy f (Policy.Fraction_of_max 0.8) reqs in
   let buf = Buffer.create 1024 in
-  let obs = Obs.create ~sink:(Sink.jsonl_buffer buf) () in
+  let obs = Obs.create ~sink:(Sink.binary_buffer buf) () in
   let traced =
     Flexible.run ~ctx:(Gridbw_core.Runtime.make ~obs ()) `Greedy f
       (Policy.Fraction_of_max 0.8) reqs
@@ -207,15 +207,15 @@ let check_summary_exact (live : Summary.t) (replayed : Summary.t) =
   exact "mean_start_delay" live.Summary.mean_start_delay replayed.Summary.mean_start_delay;
   exact "span" live.Summary.span replayed.Summary.span
 
-(* Live summary vs the summary rebuilt from the JSONL trace alone must be
+(* Live summary vs the summary rebuilt from the binary trace alone must be
    bit-identical (the summary's float folds are order-sensitive, so this
    also pins arrival/decision ordering in the trace). *)
 let replay_trace run_traced requests fabric =
   let buf = Buffer.create 4096 in
-  let obs = Obs.create ~sink:(Sink.jsonl_buffer buf) () in
+  let obs = Obs.create ~sink:(Sink.binary_buffer buf) () in
   let result = run_traced obs in
   let live = Summary.compute fabric ~all:requests ~accepted:result.Types.accepted in
-  match Replay.of_lines (String.split_on_char '\n' (Buffer.contents buf)) with
+  match Replay.of_string (Buffer.contents buf) with
   | Error msg -> Alcotest.failf "trace did not parse: %s" msg
   | Ok r ->
       Alcotest.(check bool) "timestamps monotone" true (Replay.monotone r.Replay.events);
@@ -461,46 +461,58 @@ let span_eq a b =
        (fun st -> Float.equal (Span.duration a st) (Span.duration b st))
        Span.all_stages
 
+(* The JSON line [gridbw export] prints for a span, read back field by
+   field. *)
+let span_of_json_line line =
+  let module Json = Gridbw_obs.Json in
+  match Json.parse line with
+  | Error msg -> Alcotest.fail ("span json: " ^ msg)
+  | Ok j ->
+      let get name conv =
+        match Option.bind (Json.member name j) conv with
+        | Some v -> v
+        | None -> Alcotest.failf "span json: missing %s" name
+      in
+      Alcotest.(check string) "ev" "span" (get "ev" Json.to_str);
+      Span.make ~id:(get "id" Json.to_int) ~conn:(get "conn" Json.to_int)
+        ~req:(Option.bind (Json.member "req" j) Json.to_int)
+        ~time:(get "t" Json.to_float) ~total_ns:(get "total_ns" Json.to_float)
+        ~probes:(get "probes" Json.to_int)
+        ~durs:
+          (Array.of_list
+             (List.map (fun st -> get (Span.stage_name st ^ "_ns") Json.to_float) Span.all_stages))
+
 let span_codec_round_trip () =
   List.iter
     (fun sp ->
       (match Gridbw_wire.Codec.of_string (module Span.Binary) (Gridbw_wire.Codec.to_string (module Span.Binary) sp) with
       | Ok sp' -> Alcotest.(check bool) "binary round-trips" true (span_eq sp sp')
       | Error msg -> Alcotest.fail ("binary: " ^ msg));
-      match Gridbw_wire.Codec.of_string (module Span.Jsonl) (Gridbw_wire.Codec.to_string (module Span.Jsonl) sp) with
-      | Ok sp' -> Alcotest.(check bool) "jsonl round-trips" true (span_eq sp sp')
-      | Error msg -> Alcotest.fail ("jsonl: " ^ msg))
+      Alcotest.(check bool) "json line carries every field" true
+        (span_eq sp (span_of_json_line (Span.to_json sp))))
     [ sample_span (); sample_span ~id:9 ~req:None () ]
 
-let span_sniff_autodetects () =
-  let sp = sample_span () in
-  List.iter
-    (fun (label, encoded) ->
-      match Span.sniff_decode encoded ~pos:0 with
-      | Gridbw_wire.Codec.Value (sp', n) ->
-          Alcotest.(check int) (label ^ " consumed") (String.length encoded) n;
-          Alcotest.(check bool) (label ^ " fields") true (span_eq sp sp')
-      | _ -> Alcotest.fail (label ^ ": sniff_decode failed"))
-    [
-      ("binary", Gridbw_wire.Codec.to_string (module Span.Binary) sp);
-      ("jsonl", Gridbw_wire.Codec.to_string (module Span.Jsonl) sp);
-    ];
-  Alcotest.(check bool) "json line is recognized" true
-    (Span.looks_like_json_span (Span.to_json sp));
-  Alcotest.(check bool) "event line is not" false
-    (Span.looks_like_json_span (Event.to_json (mark 1)))
+let encode_events buf evs = List.iter (Gridbw_obs.Event_codec.Binary.encode buf) evs
 
 let replay_skips_span_lines () =
-  let sp = sample_span () in
-  let lines = [ Event.to_json (mark 0); Span.to_json sp; Event.to_json (mark 1) ] in
-  match Replay.of_lines lines with
+  let buf = Buffer.create 256 in
+  encode_events buf [ mark 0 ];
+  Span.Binary.encode buf (sample_span ());
+  encode_events buf [ mark 1 ];
+  match Replay.of_string (Buffer.contents buf) with
   | Error msg -> Alcotest.failf "mixed trace did not parse: %s" msg
   | Ok r -> Alcotest.(check int) "spans skipped, events kept" 2 (List.length r.Replay.events)
 
-let replay_reports_bad_line () =
-  match Replay.of_lines [ Event.to_json (mark 0); "{not json" ] with
-  | Error msg -> Alcotest.(check bool) "names line 2" true (contains ~affix:"line 2" msg)
-  | Ok _ -> Alcotest.fail "expected a parse error"
+let replay_reports_corrupt_record () =
+  let buf = Buffer.create 256 in
+  encode_events buf [ mark 0; mark 1; mark 2 ];
+  let s = Bytes.of_string (Buffer.contents buf) in
+  (* the last byte of record 1's payload, just before its CRC *)
+  let i = (2 * (Bytes.length s / 3)) - 5 in
+  Bytes.set s i (Char.chr (Char.code (Bytes.get s i) lxor 1));
+  match Replay.of_string (Bytes.to_string s) with
+  | Error msg -> Alcotest.(check bool) "names record 1" true (contains ~affix:"record 1:" msg)
+  | Ok _ -> Alcotest.fail "expected a decode error"
 
 let suites =
   [
@@ -525,7 +537,6 @@ let suites =
     ( "obs.span",
       [
         case "binary and jsonl codecs round-trip" span_codec_round_trip;
-        case "sniff_decode autodetects either form" span_sniff_autodetects;
         case "replay skips span lines in mixed traces" replay_skips_span_lines;
       ] );
     ( "obs.event",
@@ -550,6 +561,6 @@ let suites =
         case "window trace replays bit-identically (seed 11)" (flexible_replay (`Window 400.) 11L);
         case "window trace replays bit-identically (seed 23)" (flexible_replay (`Window 400.) 23L);
         case "slots trace replays bit-identically" (rigid_replay 5L);
-        case "parse errors name the line" replay_reports_bad_line;
+        case "a corrupt record names its index" replay_reports_corrupt_record;
       ] );
   ]

@@ -37,28 +37,10 @@ let with_tmpdir f =
 let wal_config ?(batch = 4) ?(segment_bytes = Wal.default_config.Wal.segment_bytes) () =
   { Wal.batch; delay = 3600.; segment_bytes }
 
-let store_config ?batch ?segment_bytes ?(snapshot_bytes = max_int) ?codec () =
-  { Store.default_config with
-    wal = wal_config ?batch ?segment_bytes ();
-    snapshot_bytes;
-    codec = Option.value codec ~default:Store.default_config.Store.codec }
+let store_config ?batch ?segment_bytes ?(snapshot_bytes = max_int) () =
+  { Store.default_config with wal = wal_config ?batch ?segment_bytes (); snapshot_bytes }
 
 (* --- WAL unit tests --- *)
-
-let test_frame_roundtrip () =
-  let payload = {|{"ev":"accept","id":7}|} in
-  let framed = Wal.frame payload in
-  Alcotest.(check bool) "newline-terminated" true (framed.[String.length framed - 1] = '\n');
-  (match Wal.parse_frame (String.sub framed 0 (String.length framed - 1)) with
-  | Ok p -> Alcotest.(check string) "payload survives" payload p
-  | Error e -> Alcotest.failf "frame does not parse: %s" e);
-  (* Any single corrupted payload byte breaks the CRC. *)
-  let corrupt = Bytes.of_string framed in
-  Bytes.set corrupt (String.length framed - 3)
-    (Char.chr (Char.code (Bytes.get corrupt (String.length framed - 3)) lxor 1));
-  match Wal.parse_frame (Bytes.sub_string corrupt 0 (Bytes.length corrupt - 1)) with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "corrupted frame accepted"
 
 let test_group_commit () =
   with_tmpdir (fun dir ->
@@ -130,10 +112,10 @@ let baseline requests =
   let result = Flexible.greedy (fabric2 ()) policy requests in
   Summary.compute (fabric2 ()) ~all:requests ~accepted:result.Types.accepted
 
-let journal_run ?batch ?segment_bytes ?snapshot_bytes ?codec ~dir requests =
+let journal_run ?batch ?segment_bytes ?snapshot_bytes ~dir requests =
   let t0 = List.fold_left (fun t (r : Request.t) -> Float.min t r.Request.ts) 0.0 requests in
   let store =
-    Store.create ~config:(store_config ?batch ?segment_bytes ?snapshot_bytes ?codec ())
+    Store.create ~config:(store_config ?batch ?segment_bytes ?snapshot_bytes ())
       ~time:t0 ~dir (fabric2 ())
   in
   let result = Flexible.greedy ~ctx:(Gridbw_core.Runtime.make ~store ()) (fabric2 ()) policy requests in
@@ -173,13 +155,13 @@ let carve ~src ~scratch n =
   Torn.truncate_at ~dir:scratch n;
   scratch
 
-let crash_matrix ?codec seed () =
+let crash_matrix seed () =
   let requests = workload_of_seed ~n:30 seed in
   let expected = baseline requests in
   with_tmpdir (fun tmp ->
       let src = Filename.concat tmp "src" in
       let scratch = Filename.concat tmp "carved" in
-      ignore (journal_run ~batch:4 ?codec ~dir:src requests);
+      ignore (journal_run ~batch:4 ~dir:src requests);
       let boundaries, total = Torn.record_boundaries ~dir:src in
       Alcotest.(check bool) "journal is non-trivial" true (List.length boundaries > n_prefix);
       List.iteri
@@ -607,6 +589,60 @@ let test_create_refuses_existing () =
       | exception Invalid_argument _ -> ()
       | _ -> Alcotest.fail "create over an existing store accepted")
 
+(* A text journal as older versions wrote it: a store.json header and one
+   WAL segment of "%08x %d %s\n" lines (CRC32 in hex, payload length, one
+   JSON event).  The binary-only scanner reads the first record as
+   corrupt, so the capacity prefix is empty and recovery must refuse the
+   store before it truncates anything. *)
+let write_legacy_text_journal dir =
+  let write name contents =
+    Out_channel.with_open_bin (Filename.concat dir name) (fun oc -> output_string oc contents)
+  in
+  write "store.json" ({|{"gridbw_store":1,"ingress":2,"egress":2}|} ^ "\n");
+  let cap side port = Event.Capacity { time = 0.; side; port; capacity = 100. } in
+  let events =
+    [
+      cap Event.Ingress 0; cap Event.Ingress 1; cap Event.Egress 0; cap Event.Egress 1;
+      Event.Arrival
+        { time = 0.; seq = 0; id = 1; ingress = 0; egress = 1; volume = 100.; ts = 0.;
+          tf = 10.; max_rate = 50. };
+      Event.Accept
+        { time = 0.; id = 1; ingress = 0; egress = 1; volume = 100.; ts = 0.; tf = 10.;
+          max_rate = 50.; bw = 10.; sigma = 0.; shard = None };
+    ]
+  in
+  let line ev =
+    let payload = Event.to_json ev in
+    Printf.sprintf "%08lx %d %s\n" (Gridbw_wire.Crc32.digest payload) (String.length payload)
+      payload
+  in
+  write "wal-0000000000.log" (String.concat "" (List.map line events))
+
+let test_legacy_text_journal_refused () =
+  with_tmpdir (fun dir ->
+      write_legacy_text_journal dir;
+      let files () =
+        Sys.readdir dir |> Array.to_list |> List.sort compare
+        |> List.map (fun f ->
+               (f, In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all))
+      in
+      let before = files () in
+      let unchanged label = Alcotest.(check (list (pair string string))) label before (files ()) in
+      (match Store.recover ~config:(store_config ()) ~dir () with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail "Store.recover accepted a text journal");
+      unchanged "files untouched by Store.recover";
+      let exe =
+        Filename.concat (Filename.dirname Sys.executable_name)
+          (Filename.concat Filename.parent_dir_name (Filename.concat "bin" "gridbw.exe"))
+      in
+      let null = Unix.openfile "/dev/null" [ Unix.O_RDWR; Unix.O_CLOEXEC ] 0 in
+      let pid = Unix.create_process exe [| exe; "recover"; dir |] null null null in
+      Unix.close null;
+      let _, status = Unix.waitpid [] pid in
+      Alcotest.(check bool) "gridbw recover exits non-zero" true (status <> Unix.WEXITED 0);
+      unchanged "files untouched by gridbw recover")
+
 (* Random crash offsets, on top of the exhaustive boundary matrix. *)
 let prop_random_offset_recovers =
   let requests = lazy (workload_of_seed ~n:30 3) in
@@ -733,14 +769,14 @@ let suites =
     ( "store",
       [
         case "flush: forces the group commit to disk" test_flush_forces_group_commit;
-        case "wal: frame round-trip, corruption detected" test_frame_roundtrip;
         case "wal: group commit fsyncs per batch" test_group_commit;
         case "wal: segments rotate and reopen" test_segment_rotation;
         case "wal: segment gap orphans the tail" test_segment_gap_orphans_tail;
         case "store: create refuses an existing store" test_create_refuses_existing;
+        case "store: a legacy text journal is refused, never truncated"
+          test_legacy_text_journal_refused;
         case "crash matrix: every boundary and torn record (seed 3)" (crash_matrix 3);
         case "crash matrix: every boundary and torn record (seed 17)" (crash_matrix 17);
-        case "crash matrix: jsonl-codec journal (seed 3)" (crash_matrix ~codec:Wal.Jsonl 3);
         case "crash: flipped byte truncates at the CRC" test_flipped_byte_truncates;
         case "crash: snapshot + WAL tail recovery" test_snapshot_recovery;
         case "crash: double crash, recover twice" test_double_crash;

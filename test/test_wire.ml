@@ -1,8 +1,7 @@
-(* lib/wire: the two wire forms of every event constructor must agree —
-   encode with either codec, decode, and land on the same event — plus
-   frame-level corruption detection, truncation handling, and
-   mixed-format streams (trace files and WAL segments may interleave
-   JSONL lines and binary frames freely). *)
+(* lib/wire: every event constructor round-trips through the binary
+   codec and through its JSON view (snapshots depend on the latter), plus
+   frame-level corruption detection, truncation handling, and the trace
+   reader and JSON export of mixed event/span trace files. *)
 
 open Helpers
 module Codec = Gridbw_wire.Codec
@@ -10,12 +9,12 @@ module Frame = Gridbw_wire.Frame
 module Crc32 = Gridbw_wire.Crc32
 module Event = Gridbw_obs.Event
 module Event_codec = Gridbw_obs.Event_codec
-module Wal = Gridbw_store.Wal
+module Span = Gridbw_obs.Span
+module Trace_file = Gridbw_obs.Trace_file
+module Json = Gridbw_obs.Json
 
 (* %.17g is injective on finite floats (17 significant digits
-   round-trip), so JSON text equality is event equality — and it is the
-   very representation the JSONL codec ships, so comparing through it
-   checks exactly what the wire preserves. *)
+   round-trip), so JSON text equality is event equality. *)
 let event_eq a b = Event.to_json a = Event.to_json b
 
 let pp_event fmt e = Format.pp_print_string fmt (Event.to_json e)
@@ -38,9 +37,12 @@ let gen_side = QCheck2.Gen.oneofl [ Event.Ingress; Event.Egress ]
 let gen_reason =
   QCheck2.Gen.(string_size ~gen:(char_range 'a' 'z') (int_range 0 24))
 
+let gen_triples =
+  QCheck2.Gen.(array_size (int_range 0 3) (triple gen_float gen_float gen_float))
+
 let gen_event =
   let open QCheck2.Gen in
-  let* k = int_range 1 7 in
+  let* k = int_range 1 8 in
   match k with
   | 1 ->
       let* time = gen_float and* seq = gen_id and* id = gen_id in
@@ -73,6 +75,16 @@ let gen_event =
       let* time = gen_float and* side = gen_side and* port = gen_id in
       let* capacity = gen_float in
       return (Event.Capacity { time; side; port; capacity })
+  | 7 ->
+      let* time = gen_float and* id = gen_id in
+      let* ingress = gen_id and* egress = gen_id in
+      let* volume = gen_float and* ts = gen_float and* tf = gen_float in
+      let* max_rate = gen_float and* profile = gen_triples in
+      let* revised = array_size (int_range 0 2) (pair gen_id gen_triples) in
+      let* shard = option gen_id in
+      return
+        (Event.Reshape
+           { time; id; ingress; egress; volume; ts; tf; max_rate; profile; revised; shard })
   | _ ->
       let* time = gen_float and* pending = gen_id in
       return (Event.Dispatch { time; pending })
@@ -96,12 +108,16 @@ let exemplars =
     Event.Reject
       { time = 3.5; id = 9; reason = "deadline"; port = None; headroom = None; shard = None };
     Event.Preempt { time = 4.; id = 7; bw = 10.; shard = Some 1 };
+    Event.Reshape
+      { time = 4.5; id = 12; ingress = 0; egress = 1; volume = 30.; ts = 4.5; tf = 20.;
+        max_rate = 10.; profile = [| (5., 8., 10.) |];
+        revised = [| (11, [| (2.5, 4.5, 2.); (8., 12., 1.5) |]) |]; shard = None };
     Event.Shed { time = 5.; side = Event.Ingress; port = 0; excess = 12.; victims = 2 };
     Event.Capacity { time = 0.; side = Event.Egress; port = 3; capacity = 100. };
     Event.Dispatch { time = 6.; pending = 11 };
   ]
 
-(* --- codec round-trips and cross-format equality --- *)
+(* --- codec round-trips --- *)
 
 let roundtrip (module C : Codec.S with type t = Event.t) ev =
   match Codec.of_string (module C) (Codec.to_string (module C) ev) with
@@ -113,38 +129,10 @@ let test_exemplar_roundtrips () =
     (fun ev ->
       Alcotest.check event_testable "binary round-trip" ev
         (roundtrip (module Event_codec.Binary) ev);
-      Alcotest.check event_testable "jsonl round-trip" ev
-        (roundtrip (module Event_codec.Jsonl) ev))
+      match Event.of_line (Event.to_json ev) with
+      | Ok ev' -> Alcotest.check event_testable "json round-trip" ev ev'
+      | Error msg -> Alcotest.failf "json: %s" msg)
     exemplars
-
-let prop_codecs_agree =
-  qcase ~count:500 "wire: binary and jsonl decode to the same event" gen_event (fun ev ->
-      let b = roundtrip (module Event_codec.Binary) ev in
-      let j = roundtrip (module Event_codec.Jsonl) ev in
-      event_eq b ev && event_eq j ev && event_eq b j)
-
-let prop_mixed_stream =
-  (* Interleave the two forms in one byte stream; the sniffing reader
-     must recover the exact event sequence. *)
-  qcase ~count:100 "wire: mixed binary/jsonl streams sniff per record"
-    QCheck2.Gen.(list_size (int_range 1 20) (pair gen_event bool))
-    (fun entries ->
-      let buf = Buffer.create 1024 in
-      List.iter
-        (fun (ev, binary) ->
-          if binary then Event_codec.Binary.encode buf ev
-          else Event_codec.Jsonl.encode buf ev)
-        entries;
-      let s = Buffer.contents buf in
-      let rec decode acc pos =
-        if pos >= String.length s then List.rev acc
-        else
-          match Event_codec.sniff_decode s ~pos with
-          | Codec.Value (ev, next) -> decode (ev :: acc) next
-          | Codec.Incomplete -> Alcotest.fail "mixed stream: truncated"
-          | Codec.Corrupt msg -> Alcotest.failf "mixed stream: %s" msg
-      in
-      List.for_all2 (fun (ev, _) got -> event_eq ev got) entries (decode [] 0))
 
 (* --- frame-level corruption and truncation --- *)
 
@@ -188,69 +176,98 @@ let test_frame_tag_validation () =
   | Codec.Corrupt _ -> ()
   | _ -> Alcotest.fail "wrong-tag frame accepted as an event"
 
-let test_hexline_roundtrip () =
-  List.iter
-    (fun payload ->
-      let b = Buffer.create 32 in
-      Frame.Hexline.encode b payload;
-      match Frame.Hexline.decode (Buffer.contents b) ~pos:0 with
-      | Codec.Value (p, _) -> Alcotest.(check string) "hexline payload" payload p
-      | _ -> Alcotest.fail "hexline frame does not decode")
-    [ ""; "x"; {|{"ev":"accept","id":7}|}; String.make 300 'z' ]
+(* --- trace files: the shared reader and the JSON export --- *)
 
-(* --- WAL: mixed-format segments --- *)
+let gen_span =
+  let open QCheck2.Gen in
+  let* id = gen_id and* conn = gen_id and* req = option gen_id in
+  let* time = gen_float and* total_ns = gen_float and* probes = gen_id in
+  let* durs = array_size (return (List.length Span.all_stages)) gen_float in
+  return (Span.make ~id ~conn ~req ~time ~total_ns ~probes ~durs)
 
-(* A journal written under one format and continued under the other must
-   stay fully replayable: the scanner sniffs per record. *)
-let test_wal_mixed_segment () =
-  let dir = Filename.temp_file "gridbw-wire-wal" "" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o755;
-  let rm_rf d =
-    Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d);
-    Sys.rmdir d
-  in
-  Fun.protect
-    ~finally:(fun () -> rm_rf dir)
-    (fun () ->
-      let cfg = { Wal.default_config with Wal.batch = 1 } in
-      let w = Wal.create ~config:cfg ~format:Wal.Jsonl ~dir () in
-      for i = 0 to 4 do
-        Wal.append w (Printf.sprintf "jsonl-record-%d" i)
-      done;
-      Wal.close w;
-      let w2 = Wal.reopen ~config:cfg ~format:Wal.Binary ~dir ~records:5 () in
-      for i = 5 to 9 do
-        Wal.append w2 (Printf.sprintf "binary-record-%d" i)
-      done;
-      Wal.close w2;
-      let s = Wal.scan ~dir in
-      Alcotest.(check int) "all records valid" 10 s.Wal.valid;
-      Alcotest.(check bool) "clean tail" true (s.Wal.torn = None);
-      let formats = List.map (fun (r : Wal.record) -> r.Wal.format) s.Wal.records in
-      Alcotest.(check bool) "first half jsonl, second half binary" true
-        (formats
-        = [ Wal.Jsonl; Wal.Jsonl; Wal.Jsonl; Wal.Jsonl; Wal.Jsonl;
-            Wal.Binary; Wal.Binary; Wal.Binary; Wal.Binary; Wal.Binary ]);
-      List.iteri
-        (fun i (r : Wal.record) ->
-          let prefix = if i < 5 then "jsonl" else "binary" in
-          Alcotest.(check string) "payload survives"
-            (Printf.sprintf "%s-record-%d" prefix i)
-            r.Wal.payload)
-        s.Wal.records)
+let gen_record =
+  QCheck2.Gen.(
+    oneof
+      [
+        map (fun e -> Trace_file.Event e) gen_event;
+        map (fun sp -> Trace_file.Span sp) gen_span;
+      ])
+
+let frame_of = function
+  | Trace_file.Event e -> Codec.to_string (module Event_codec.Binary) e
+  | Trace_file.Span sp -> Codec.to_string (module Span.Binary) sp
+
+let export s = Result.bind (Trace_file.of_string s) Trace_file.to_jsonl
+
+let json_line_matches record line =
+  match record with
+  | Trace_file.Event e -> (
+      match Event.of_line line with Ok e' -> event_eq e e' | Error _ -> false)
+  | Trace_file.Span sp -> (
+      match Json.parse line with
+      | Error _ -> false
+      | Ok j ->
+          Json.member "ev" j = Some (Json.Str "span")
+          && Option.bind (Json.member "id" j) Json.to_int = Some (Span.id sp)
+          && Option.equal Float.equal
+               (Option.bind (Json.member "total_ns" j) Json.to_float)
+               (Some (Span.total_ns sp)))
+
+let prop_export_round_trip =
+  qcase ~count:300 "export: one JSON line per event and span record"
+    QCheck2.Gen.(list_size (int_range 0 20) gen_record)
+    (fun records ->
+      match export (String.concat "" (List.map frame_of records)) with
+      | Error msg -> QCheck2.Test.fail_reportf "export failed: %s" msg
+      | Ok out -> (
+          match List.rev (String.split_on_char '\n' out) with
+          | "" :: rev_lines ->
+              let lines = List.rev rev_lines in
+              List.length lines = List.length records
+              && List.for_all2 json_line_matches records lines
+          | _ -> out = "" && records = []))
+
+let contains ~affix s =
+  let n = String.length affix and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = affix || go (i + 1)) in
+  go 0
+
+(* Damage one record, chosen by a byte offset: cut the trace strictly
+   inside it, or flip one of its bits.  Every record before it is intact,
+   so the error must name exactly its index. *)
+let prop_export_damage_names_record =
+  qcase ~count:500 "export: a damaged record is an error naming its index"
+    QCheck2.Gen.(triple (list_size (int_range 1 12) gen_record) (int_range 0 1_000_000) bool)
+    (fun (records, raw, truncate) ->
+      let frames = List.map frame_of records in
+      let s = String.concat "" frames in
+      let pos = raw mod String.length s in
+      let rec locate k start = function
+        | f :: rest when pos >= start + String.length f -> locate (k + 1) (start + String.length f) rest
+        | _ -> (k, start)
+      in
+      let k, start = locate 0 0 frames in
+      let damaged =
+        if truncate then String.sub s 0 (if pos > start then pos else start + 1)
+        else begin
+          let b = Bytes.of_string s in
+          Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor (1 lsl (raw mod 8))));
+          Bytes.to_string b
+        end
+      in
+      match export damaged with
+      | Ok _ -> false
+      | Error msg -> contains ~affix:(Printf.sprintf "record %d:" k) msg)
 
 let suites =
   [
     ( "wire",
       [
         case "every constructor round-trips through both codecs" test_exemplar_roundtrips;
-        prop_codecs_agree;
-        prop_mixed_stream;
         prop_bitflip_never_passes;
         prop_truncation_is_incomplete;
         case "frame: tag byte validated by record codecs" test_frame_tag_validation;
-        case "frame: Hexline round-trip" test_hexline_roundtrip;
-        case "wal: mixed jsonl/binary segment replays" test_wal_mixed_segment;
+        prop_export_round_trip;
+        prop_export_damage_names_record;
       ] );
   ]
