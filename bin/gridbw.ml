@@ -598,29 +598,9 @@ let recover_cmd =
           (Json.to_string (Json.Obj [ ("ok", Json.Bool false); ("error", Json.Str msg) ]));
         exit 1
     | Ok r ->
-        let rec split_prefix = function
-          | Event.Capacity _ :: rest -> split_prefix rest
-          | rest -> rest
-        in
-        let body = split_prefix r.Store.events in
-        let engine_driven =
-          List.exists
-            (function Event.Capacity _ | Event.Preempt _ | Event.Shed _ -> true | _ -> false)
-            body
-        in
-        let ledger_ok = Gridbw_alloc.Ledger.within_capacity (Store.ledger r.Store.store) in
-        let violations =
-          if engine_driven then []
-          else
-            List.map Gridbw_check.Reference.describe
-              (Gridbw_check.Reference.audit_allocations r.Store.initial_fabric
-                 (List.map snd r.Store.accepted))
-        in
-        let violations =
-          if ledger_ok then violations else violations @ [ "recovered ledger exceeds capacity" ]
-        in
+        let survivors, violations = Gridbw_serve.Admission.audit r in
         let audit =
-          if violations <> [] then "failed" else if engine_driven then "skipped" else "clean"
+          if violations <> [] then "failed" else if survivors = None then "skipped" else "clean"
         in
         let accepted =
           List.map
@@ -712,38 +692,16 @@ let recover_cmd =
                 prerr_endline "recover: recovered journal lost its capacity prefix";
                 exit 1
             | Ok fabric -> Format.printf "%a@." Summary.pp (Replay.summary fabric t)));
-        (* Audit the recovered state before anyone serves from it.  An
-           engine-driven journal (faults: capacity revisions past the
-           prefix, preemptions, sheds) books and releases over time, so the
-           whole-interval reference audit does not apply. *)
-        let rec split_prefix = function
-          | Event.Capacity _ :: rest -> split_prefix rest
-          | rest -> rest
-        in
-        let engine_driven =
-          List.exists
-            (function Event.Capacity _ | Event.Preempt _ | Event.Shed _ -> true | _ -> false)
-            (split_prefix r.Store.events)
-        in
-        if engine_driven then
-          prerr_endline "note: engine-driven journal (faults); reference audit skipped"
-        else begin
-          let allocs = List.map snd r.Store.accepted in
-          let violations =
-            Gridbw_check.Reference.audit_allocations r.Store.initial_fabric allocs
-          in
-          let ledger_ok = Gridbw_alloc.Ledger.within_capacity (Store.ledger r.Store.store) in
-          match (violations, ledger_ok) with
-          | [], true ->
-              Printf.eprintf "audit clean: %d recovered allocations within capacity\n%!"
-                (List.length allocs)
-          | vs, ok ->
-              List.iter
-                (fun v -> Printf.eprintf "audit: %s\n" (Gridbw_check.Reference.describe v))
-                vs;
-              if not ok then prerr_endline "audit: recovered ledger exceeds capacity";
-              exit 1
-        end;
+        (* Audit the recovered state before anyone serves from it. *)
+        (match Gridbw_serve.Admission.audit r with
+        | None, _ ->
+            prerr_endline "note: journal revises capacities (faults); reference audit skipped"
+        | Some survivors, [] ->
+            Printf.eprintf "audit clean: %d surviving allocations within capacity\n%!"
+              (List.length survivors)
+        | Some _, violations ->
+            List.iter (fun v -> Printf.eprintf "audit: %s\n" v) violations;
+            exit 1);
         Store.close r.Store.store;
         Option.iter
           (fun path ->
@@ -999,18 +957,8 @@ let serve_cmd =
     Arg.(value & opt int Flight.default_size
          & info [ "flight-size" ] ~docv:"BYTES" ~doc:"Flight-recorder ring size.")
   in
-  let shards_t =
-    Arg.(value & opt (some int) None
-         & info [ "shards" ] ~docv:"N"
-             ~doc:"Partition the fabric's ports across $(docv) shards, each on its own \
-                   OCaml domain, and decide admissions through a worker pool with \
-                   two-phase cross-shard reserve/commit.  Decisions are journaled with \
-                   their shard id; recovery re-partitions onto the configured count and \
-                   audits every shard against the reference model.  Omit for the \
-                   single-threaded engine.")
-  in
   let run socket tcp policy store_dir store_batch store_kill max_frame metrics_port span_out
-      flight_recorder flight_size shards =
+      flight_recorder flight_size =
     let transport = transport_of "serve" socket tcp in
     let store_config =
       { Store.default_config with
@@ -1019,7 +967,7 @@ let serve_cmd =
     in
     let cfg =
       { (Daemon.default_config ~policy ?store_dir ?metrics_port ?span_out ?flight_recorder
-           ~flight_size ?shards transport)
+           ~flight_size transport)
         with
         Daemon.store_config; max_frame }
     in
@@ -1034,10 +982,12 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve"
        ~doc:"Run the admission daemon: a durable, auditable admission service speaking \
-             the versioned binary protocol over a Unix or TCP socket.")
+             the versioned binary protocol over a Unix or TCP socket.  One thread decides \
+             every request; each select round's decisions are fsynced before any of them \
+             is acknowledged.")
     Term.(const run $ socket_t $ tcp_t $ policy_t $ store_dir_t $ store_batch_t
           $ store_kill_t $ max_frame_t $ metrics_port_t $ span_out_t $ flight_t
-          $ flight_size_t $ shards_t)
+          $ flight_size_t)
 
 let loadgen_cmd =
   let conns_t =

@@ -43,25 +43,6 @@ let release t ~ingress ~egress ~bw =
   t.ali.(ingress) <- clamp (t.ali.(ingress) -. bw);
   t.ale.(egress) <- clamp (t.ale.(egress) -. bw)
 
-(* Per-side halves of the operations above, for shards that own only one
-   end of a route.  The arithmetic expressions are copied verbatim from
-   the two-sided forms: a sharded run that performs [fits_ingress] on one
-   shard and [fits_egress] on another must agree bit-for-bit with an
-   unsharded [fits]. *)
-
-let fits_ingress t ~ingress ~bw =
-  t.probes <- t.probes + 1;
-  le_cap (t.ali.(ingress) +. bw) (Fabric.ingress_capacity t.fabric ingress)
-
-let fits_egress t ~egress ~bw =
-  t.probes <- t.probes + 1;
-  le_cap (t.ale.(egress) +. bw) (Fabric.egress_capacity t.fabric egress)
-
-let grab_ingress t ~ingress ~bw = t.ali.(ingress) <- t.ali.(ingress) +. bw
-let grab_egress t ~egress ~bw = t.ale.(egress) <- t.ale.(egress) +. bw
-let release_ingress t ~ingress ~bw = t.ali.(ingress) <- clamp (t.ali.(ingress) -. bw)
-let release_egress t ~egress ~bw = t.ale.(egress) <- clamp (t.ale.(egress) -. bw)
-
 let try_grab t ~ingress ~egress ~bw =
   let ok = fits t ~ingress ~egress ~bw in
   if ok then grab t ~ingress ~egress ~bw;

@@ -44,20 +44,6 @@ val release : t -> ingress:int -> egress:int -> bw:float -> unit
 val try_grab : t -> ingress:int -> egress:int -> bw:float -> bool
 (** {!fits} then {!grab}; returns whether it grabbed. *)
 
-(** {2 Per-side halves}
-
-    For shards owning only one end of a route: same expressions as the
-    two-sided forms, so an ingress-half on one shard plus an egress-half
-    on another is bit-identical to the unsharded operation.  Each
-    per-side fits counts 1 probe. *)
-
-val fits_ingress : t -> ingress:int -> bw:float -> bool
-val fits_egress : t -> egress:int -> bw:float -> bool
-val grab_ingress : t -> ingress:int -> bw:float -> unit
-val grab_egress : t -> egress:int -> bw:float -> unit
-val release_ingress : t -> ingress:int -> bw:float -> unit
-val release_egress : t -> egress:int -> bw:float -> unit
-
 val saturation : t -> ingress:int -> egress:int -> bw:float -> float
 (** The WINDOW heuristic's cost (section 5.2):
     [max((ali+bw)/B_in, (ale+bw)/B_out)]. *)

@@ -10,9 +10,6 @@ module Long_lived = Gridbw_core.Long_lived
 module Validate = Gridbw_metrics.Validate
 module Injector = Gridbw_fault.Injector
 module Fault = Gridbw_fault.Fault
-module Online = Gridbw_core.Online
-module Port = Gridbw_alloc.Port
-module Shard_engine = Gridbw_shard.Engine
 module Malleable = Gridbw_malleable.Malleable
 
 type finding = { engine : string; check : string; detail : string }
@@ -164,119 +161,6 @@ let check_parity (sc : Scenario.t) =
     [ (Injector.Greedy, Scheduler.of_flexible `Greedy Policy.Min_rate);
       (Injector.Window default_step, Scheduler.of_flexible (`Window default_step) Policy.Min_rate) ]
 
-(* --- sharded-engine differential --- *)
-
-let sharded_counts = [ 2; 3 ]
-let sharded_policy = Policy.Min_rate
-
-type shard_op = Op_admit of Request.t | Op_cancel of { id : int; at : float }
-
-(* One sequential timeline of arrivals and preempts, ordered by time with
-   total tie-breaking; driving the sharded engine and the single-shard
-   ledger through it op for op keeps their clocks in lockstep, so every
-   decision is comparable bit for bit. *)
-let shard_timeline (sc : Scenario.t) =
-  let key = function
-    | Op_admit r -> (r.Request.ts, 0, r.Request.id)
-    | Op_cancel { id; at } -> (at, 1, id)
-  in
-  let admits = List.map (fun r -> Op_admit r) sc.Scenario.requests in
-  let cancels =
-    List.filter_map
-      (function
-        | Fault.Preempt { request_id; at } -> Some (Op_cancel { id = request_id; at })
-        | Fault.Degrade _ | Fault.Abort _ -> None)
-      sc.Scenario.faults
-  in
-  List.sort (fun a b -> compare (key a) (key b)) (admits @ cancels)
-
-let describe_decision = function
-  | Types.Accepted (a : Allocation.t) ->
-      Printf.sprintf "accept bw=%.17g sigma=%.17g tau=%.17g" a.Allocation.bw a.Allocation.sigma
-        a.Allocation.tau
-  | Types.Rejected reason -> Format.asprintf "reject (%a)" Types.pp_reason reason
-
-let same_decision a b =
-  match (a, b) with
-  | Types.Accepted (x : Allocation.t), Types.Accepted y ->
-      x.Allocation.bw = y.Allocation.bw && x.Allocation.sigma = y.Allocation.sigma
-      && x.Allocation.tau = y.Allocation.tau
-  | Types.Rejected x, Types.Rejected y -> x = y
-  | _ -> false
-
-let check_sharded (sc : Scenario.t) =
-  (* Degrades and injector aborts revise capacities mid-flight — the
-     sharded engine has no such verb, so only preempt-only (or fault-free)
-     scenarios are differentially replayable against it. *)
-  if not (List.for_all (function Fault.Preempt _ -> true | _ -> false) sc.Scenario.faults)
-  then []
-  else
-    let timeline = shard_timeline sc in
-    List.concat_map
-      (fun shards ->
-        let name = Printf.sprintf "sharded(%d)" shards in
-        let findings = ref [] in
-        let fail check detail = findings := { engine = name; check; detail } :: !findings in
-        let engine = Shard_engine.create ~spawn:false ~shards sharded_policy sc.Scenario.fabric in
-        let online = Online.create sc.Scenario.fabric in
-        let lbooked = Hashtbl.create 64 and sbooked = Hashtbl.create 64 in
-        List.iteri
-          (fun i op ->
-            match op with
-            | Op_admit r ->
-                let at = Float.max (Online.now online) r.Request.ts in
-                let expected = Online.try_admit online sharded_policy r ~at in
-                let actual = Shard_engine.try_admit engine r in
-                if not (same_decision expected actual) then
-                  fail "decision-parity"
-                    (Printf.sprintf "op %d (request %d): ledger %s, sharded %s" i r.Request.id
-                       (describe_decision expected) (describe_decision actual));
-                (match expected with
-                | Types.Accepted a -> Hashtbl.replace lbooked r.Request.id a
-                | Types.Rejected _ -> ());
-                (match actual with
-                | Types.Accepted a -> Hashtbl.replace sbooked r.Request.id a
-                | Types.Rejected _ -> ())
-            | Op_cancel { id; _ } -> (
-                (* each side cancels its own allocation record, so a prior
-                   decision mismatch cannot cascade into a bogus one here *)
-                match (Hashtbl.find_opt lbooked id, Hashtbl.find_opt sbooked id) with
-                | None, None -> ()
-                | Some la, Some sa ->
-                    let expected = Online.preempt online la in
-                    let actual = Shard_engine.cancel engine sa in
-                    if expected then Hashtbl.remove lbooked id;
-                    if actual then Hashtbl.remove sbooked id;
-                    if expected <> actual then
-                      fail "cancel-parity"
-                        (Printf.sprintf "op %d: cancel of %d %s on the ledger but %s sharded" i id
-                           (if expected then "succeeded" else "failed")
-                           (if actual then "succeeded" else "failed"))
-                | _ -> ()))
-          timeline;
-        (* bring both sides to the same global instant before reading
-           counters: shards no late operation touched still hold releases
-           the ledger drained at its last admission *)
-        Shard_engine.settle engine;
-        Online.advance_to online (Shard_engine.now engine);
-        for i = 0 to Fabric.ingress_count sc.Scenario.fabric - 1 do
-          let s = Shard_engine.ingress_used engine i and l = Online.used online (Port.ingress i) in
-          if s <> l then
-            fail "counter-parity" (Printf.sprintf "ingress %d: sharded %.17g <> ledger %.17g" i s l)
-        done;
-        for e = 0 to Fabric.egress_count sc.Scenario.fabric - 1 do
-          let s = Shard_engine.egress_used engine e and l = Online.used online (Port.egress e) in
-          if s <> l then
-            fail "counter-parity" (Printf.sprintf "egress %d: sharded %.17g <> ledger %.17g" e s l)
-        done;
-        if Shard_engine.active_count engine <> Online.active_count online then
-          fail "active-parity"
-            (Printf.sprintf "%d active transfers sharded, %d on the ledger"
-               (Shard_engine.active_count engine) (Online.active_count online));
-        Shard_engine.stop engine;
-        List.rev !findings)
-      sharded_counts
-
 (* --- long-lived solvers --- *)
 
 let check_long_lived ~seed ~size =
@@ -345,5 +229,5 @@ let check ?engines (sc : Scenario.t) =
   | Some es -> List.concat_map (check_scheduler sc) es
   | None ->
       List.concat_map (check_scheduler sc) (engines_for sc)
-      @ check_faulted sc @ check_parity sc @ check_malleable_parity sc @ check_sharded sc
+      @ check_faulted sc @ check_parity sc @ check_malleable_parity sc
       @ check_long_lived ~seed:sc.Scenario.seed ~size:(min sc.Scenario.size 16)

@@ -65,18 +65,6 @@ val check_faulted : Scenario.t -> finding list
 val check_parity : Scenario.t -> finding list
 (** M5: empty-script injector runs against their fault-free twins. *)
 
-val check_sharded : Scenario.t -> finding list
-(** Differential replay against the sharded multicore engine
-    ({!Gridbw_shard.Engine}, [spawn:false], 2 and 3 shards): arrivals and
-    preempts are merged into one time-ordered timeline and driven op for
-    op through the sharded engine and a single-shard [Online] ledger;
-    every decision, every cancel outcome, every settled port counter and
-    the active-transfer count must agree bit for bit.  The
-    [cross-shard-storm] family exists to feed this check shard-straddling
-    cancel-heavy load; applies to any scenario whose fault script is
-    preempt-only (degrades revise capacities, which the sharded engine
-    has no verb for). *)
-
 val check_long_lived : seed:int64 -> size:int -> finding list
 (** Differential checks for the long-lived solvers: greedy feasibility,
     [optimal_uniform] dominance over greedy on uniform instances, and

@@ -54,10 +54,8 @@ let random_request rng fabric ?(hot = 0.0) ?(slack_hi = 4.0) ~id () =
   Request.make ~id ~ingress ~egress ~volume:(min_rate *. dur) ~ts ~tf:(ts +. dur)
     ~max_rate:(min_rate *. slack)
 
-(* Cross-shard pressure: with probability [straddle] the pair is forced
-   onto ports 0 and 1, whose indices have distinct residues under every
-   modulus >= 2 — so the admission spans two shards for any shard count
-   the engine under test is partitioned into. *)
+(* Hotspot pressure: with probability 0.65 the pair is forced onto
+   ports 0 and 1, so those four counters carry most of the load. *)
 let straddling_request rng fabric ~id =
   let ingress, egress =
     if Rng.float rng 1.0 < 0.65 then (if Rng.float rng 1.0 < 0.5 then (0, 1) else (1, 0))
@@ -73,14 +71,13 @@ let straddling_request rng fabric ~id =
   Request.make ~id ~ingress ~egress ~volume:(min_rate *. dur) ~ts ~tf:(ts +. dur)
     ~max_rate:(min_rate *. slack)
 
-(* Every shard count from 2 up splits this fabric's first two ports
-   across owners; at least two ports per side keeps the pair drawable. *)
+(* At least two ports per side keeps the hotspot pair drawable. *)
 let cross_fabric rng =
   let caps n = Array.init n (fun _ -> Rng.float_in rng 60. 140.) in
   Fabric.make ~ingress:(caps (2 + Rng.int rng 3)) ~egress:(caps (2 + Rng.int rng 3))
 
 (* Cancel-heavy: roughly a third of the transfers get pulled mid-window,
-   exercising the release path on both owning shards. *)
+   exercising the release path on both ports of the hotspot pair. *)
 let cancel_script rng requests =
   Fault.sort
     (List.filter_map

@@ -19,10 +19,11 @@ type family =
   | Near_rigid  (** [MaxRate] within 1 + 1e-9 of [MinRate] *)
   | Revision_storm  (** mixed workload under an aggressive fault script *)
   | Cross_shard_storm
-      (** hotspot pairs pinned to ports 0/1 — distinct shard owners under
-          every partitioning — plus a cancel-heavy preempt script; feeds
-          {!Harness.check_sharded}'s differential against the sharded
-          engine *)
+      (** ~65 % of requests on the hotspot pairs 0→1 and 1→0 of a small
+          2–4-port fabric, plus a cancel-heavy preempt script (~35 % of
+          transfers pulled mid-window); feeds the oracle checks and the
+          fault injector's preempt/release path.  The name is kept so
+          recorded seeds and counterexample bundles still resolve *)
   | Reshape_storm
       (** arrivals in bursts whose transfer windows overlap, slack in
           [1.3, 1.5], ~50 % hotspot routing, no faults — a booking engine

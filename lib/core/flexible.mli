@@ -12,7 +12,7 @@
     cannot start before its batch is decided; see DESIGN.md (ablation A1).
 
     Every entry point takes the runtime context as [?ctx]
-    ({!Runtime.ctx}: telemetry + durable store + span + shard); a store
+    ({!Runtime.ctx}: telemetry + durable store + span); a store
     in the context journals every arrival and decision.  The packing
     kernel {!pack_batch} is the one exception — it takes the already
     merged telemetry context directly, as the fault injector drives it

@@ -517,7 +517,7 @@ let run_window ?(obs = Obs.disabled) fabric cfg ~step events requests =
        Obs.count obs "preempted_total";
        Obs.event obs (fun () ->
            Event.Preempt
-             { time = now; id = a.Allocation.request.Request.id; bw = a.Allocation.bw; shard = None })
+             { time = now; id = a.Allocation.request.Request.id; bw = a.Allocation.bw })
      end);
     let served = Float.max 0. (Float.min now a.Allocation.tau -. a.Allocation.sigma) in
     if served > 0. then begin

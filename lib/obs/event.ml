@@ -23,7 +23,6 @@ type t =
       max_rate : float;
       bw : float;
       sigma : float;
-      shard : int option;
     }
   | Reject of {
       time : float;
@@ -31,9 +30,8 @@ type t =
       reason : string;
       port : (side * int) option;
       headroom : float option;
-      shard : int option;
     }
-  | Preempt of { time : float; id : int; bw : float; shard : int option }
+  | Preempt of { time : float; id : int; bw : float }
   | Reshape of {
       time : float;
       id : int;
@@ -45,7 +43,6 @@ type t =
       max_rate : float;
       profile : (float * float * float) array;
       revised : (int * (float * float * float) array) array;
-      shard : int option;
     }
   | Shed of { time : float; side : side; port : int; excess : float; victims : int }
   | Capacity of { time : float; side : side; port : int; capacity : float }
@@ -95,26 +92,22 @@ let to_json ev =
           ("in", int ingress); ("out", int egress); ("vol", num volume);
           ("ts", num ts); ("tf", num tf); ("max", num max_rate);
         ]
-    | Accept { time; id; ingress; egress; volume; ts; tf; max_rate; bw; sigma; shard } ->
+    | Accept { time; id; ingress; egress; volume; ts; tf; max_rate; bw; sigma } ->
         [
           ("ev", Str "accept"); ("t", num time); ("id", int id);
           ("in", int ingress); ("out", int egress); ("vol", num volume);
           ("ts", num ts); ("tf", num tf); ("max", num max_rate);
           ("bw", num bw); ("sigma", num sigma);
         ]
-        @ (match shard with Some s -> [ ("shard", int s) ] | None -> [])
-    | Reject { time; id; reason; port; headroom; shard } ->
+    | Reject { time; id; reason; port; headroom } ->
         [ ("ev", Str "reject"); ("t", num time); ("id", int id); ("reason", Str reason) ]
         @ (match port with
           | Some (side, p) -> [ ("side", Str (side_name side)); ("port", int p) ]
           | None -> [])
         @ (match headroom with Some h -> [ ("headroom", num h) ] | None -> [])
-        @ (match shard with Some s -> [ ("shard", int s) ] | None -> [])
-    | Preempt { time; id; bw; shard } ->
+    | Preempt { time; id; bw } ->
         [ ("ev", Str "preempt"); ("t", num time); ("id", int id); ("bw", num bw) ]
-        @ (match shard with Some s -> [ ("shard", int s) ] | None -> [])
-    | Reshape { time; id; ingress; egress; volume; ts; tf; max_rate; profile; revised; shard }
-      ->
+    | Reshape { time; id; ingress; egress; volume; ts; tf; max_rate; profile; revised } ->
         [
           ("ev", Str "reshape"); ("t", num time); ("id", int id);
           ("in", int ingress); ("out", int egress); ("vol", num volume);
@@ -126,7 +119,6 @@ let to_json ev =
               |> List.map (fun (rid, segs) ->
                      Obj [ ("id", int rid); ("profile", profile_to_json segs) ])) );
         ]
-        @ (match shard with Some s -> [ ("shard", int s) ] | None -> [])
     | Shed { time; side; port; excess; victims } ->
         [
           ("ev", Str "shed"); ("t", num time); ("side", Str (side_name side));
@@ -204,8 +196,7 @@ let of_json json =
       let* max_rate = field "max" Json.to_float json in
       let* bw = field "bw" Json.to_float json in
       let* sigma = field "sigma" Json.to_float json in
-      let* shard = opt_field "shard" Json.to_int json in
-      Ok (Accept { time; id; ingress; egress; volume; ts; tf; max_rate; bw; sigma; shard })
+      Ok (Accept { time; id; ingress; egress; volume; ts; tf; max_rate; bw; sigma })
   | "reject" ->
       let* id = field "id" Json.to_int json in
       let* reason = field "reason" Json.to_str json in
@@ -220,13 +211,11 @@ let of_json json =
         | None, None -> Ok None
         | _ -> Error "reject: side and port must appear together"
       in
-      let* shard = opt_field "shard" Json.to_int json in
-      Ok (Reject { time; id; reason; port; headroom; shard })
+      Ok (Reject { time; id; reason; port; headroom })
   | "preempt" ->
       let* id = field "id" Json.to_int json in
       let* bw = field "bw" Json.to_float json in
-      let* shard = opt_field "shard" Json.to_int json in
-      Ok (Preempt { time; id; bw; shard })
+      Ok (Preempt { time; id; bw })
   | "reshape" ->
       let* id = field "id" Json.to_int json in
       let* ingress = field "in" Json.to_int json in
@@ -253,8 +242,7 @@ let of_json json =
             Ok (Array.of_list pairs)
         | _ -> Error "malformed field \"revised\""
       in
-      let* shard = opt_field "shard" Json.to_int json in
-      Ok (Reshape { time; id; ingress; egress; volume; ts; tf; max_rate; profile; revised; shard })
+      Ok (Reshape { time; id; ingress; egress; volume; ts; tf; max_rate; profile; revised })
   | "shed" ->
       let* side = field "side" Json.to_str json in
       let* side = side_of_name side in

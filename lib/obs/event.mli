@@ -38,7 +38,6 @@ type t =
       max_rate : float;
       bw : float;  (** granted constant rate *)
       sigma : float;  (** transmission start *)
-      shard : int option;  (** deciding shard in a sharded run, [None] otherwise *)
     }
   | Reject of {
       time : float;
@@ -46,9 +45,8 @@ type t =
       reason : string;  (** Types.pp_reason rendering, e.g. "port-saturated" *)
       port : (side * int) option;  (** the rejecting port, when one exists *)
       headroom : float option;  (** that port's spare bandwidth at decision time *)
-      shard : int option;  (** deciding shard in a sharded run, [None] otherwise *)
     }
-  | Preempt of { time : float; id : int; bw : float; shard : int option }
+  | Preempt of { time : float; id : int; bw : float }
   | Reshape of {
       time : float;
       id : int;
@@ -65,7 +63,6 @@ type t =
               reshaped to open capacity for this admit, in commit (EDF)
               order.  The whole record applies atomically: the revisions
               and the admit are one journal entry. *)
-      shard : int option;
     }
       (** a MALLEABLE acceptance: like [Accept] but carrying the full
           step-function profile, plus any pending-transfer reshaping the
@@ -94,7 +91,9 @@ val to_json : t -> string
 
 val of_json : Json.t -> (t, string) result
 val of_line : string -> (t, string) result
-(** Parse one trace line back into an event. *)
+(** Parse one trace line back into an event.  Keys the schema does not
+    name are ignored, so snapshot lines written with the retired
+    per-decision ["shard"] key still load. *)
 
 val pp : Format.formatter -> t -> unit
 (** Human-readable one-line rendering (the pretty sink). *)

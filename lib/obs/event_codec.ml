@@ -18,16 +18,6 @@ module Binary = struct
 
   let add_side b side = Binio.add_u8 b (match side with Event.Ingress -> 0 | Event.Egress -> 1)
 
-  (* Optional shard-id trailer on decision events.  [None] writes no
-     bytes at all, so unsharded records stay byte-identical to the
-     pre-shard layout; readers treat end-of-body as [None] and accept
-     both old and new records. *)
-  let add_shard b = function
-    | None -> ()
-    | Some s ->
-        Binio.add_u8 b 1;
-        Binio.add_i64 b s
-
   let encode_body b (ev : Event.t) =
     match ev with
     | Arrival { time; seq; id; ingress; egress; volume; ts; tf; max_rate } ->
@@ -41,7 +31,7 @@ module Binary = struct
         Binio.add_f64 b ts;
         Binio.add_f64 b tf;
         Binio.add_f64 b max_rate
-    | Accept { time; id; ingress; egress; volume; ts; tf; max_rate; bw; sigma; shard } ->
+    | Accept { time; id; ingress; egress; volume; ts; tf; max_rate; bw; sigma } ->
         Binio.add_u8 b 2;
         Binio.add_f64 b time;
         Binio.add_i64 b id;
@@ -52,9 +42,8 @@ module Binary = struct
         Binio.add_f64 b tf;
         Binio.add_f64 b max_rate;
         Binio.add_f64 b bw;
-        Binio.add_f64 b sigma;
-        add_shard b shard
-    | Reject { time; id; reason; port; headroom; shard } ->
+        Binio.add_f64 b sigma
+    | Reject { time; id; reason; port; headroom } ->
         Binio.add_u8 b 3;
         Binio.add_f64 b time;
         Binio.add_i64 b id;
@@ -69,16 +58,13 @@ module Binary = struct
         | None -> Binio.add_u8 b 0
         | Some h ->
             Binio.add_u8 b 1;
-            Binio.add_f64 b h);
-        add_shard b shard
-    | Preempt { time; id; bw; shard } ->
+            Binio.add_f64 b h)
+    | Preempt { time; id; bw } ->
         Binio.add_u8 b 4;
         Binio.add_f64 b time;
         Binio.add_i64 b id;
-        Binio.add_f64 b bw;
-        add_shard b shard
-    | Reshape { time; id; ingress; egress; volume; ts; tf; max_rate; profile; revised; shard }
-      ->
+        Binio.add_f64 b bw
+    | Reshape { time; id; ingress; egress; volume; ts; tf; max_rate; profile; revised } ->
         Binio.add_u8 b 8;
         Binio.add_f64 b time;
         Binio.add_i64 b id;
@@ -106,8 +92,7 @@ module Binary = struct
                 Binio.add_f64 b until;
                 Binio.add_f64 b rate)
               segs)
-          revised;
-        add_shard b shard
+          revised
     | Shed { time; side; port; excess; victims } ->
         Binio.add_u8 b 5;
         Binio.add_f64 b time;
@@ -168,12 +153,13 @@ module Binary = struct
       | 1 -> Event.Egress
       | n -> failwith (Printf.sprintf "unknown side code %d" n)
     in
-    (* End-of-body means the record predates shard ids. *)
-    let shard () =
-      if !pos = len then None
-      else
+    (* Decision records written by the retired sharded engine end in a
+       [0x01 <i64 shard id>] trailer; it is read and dropped, so those
+       journals still recover.  End-of-body is the current layout. *)
+    let shard_trailer () =
+      if !pos < len then
         match u8 () with
-        | 1 -> Some (i64 ())
+        | 1 -> ignore (i64 ())
         | n -> failwith (Printf.sprintf "unknown shard tag %d" n)
     in
     try
@@ -201,8 +187,8 @@ module Binary = struct
             let max_rate = f64 () in
             let bw = f64 () in
             let sigma = f64 () in
-            let shard = shard () in
-            Event.Accept { time; id; ingress; egress; volume; ts; tf; max_rate; bw; sigma; shard }
+            shard_trailer ();
+            Event.Accept { time; id; ingress; egress; volume; ts; tf; max_rate; bw; sigma }
         | 3 ->
             let time = f64 () in
             let id = i64 () in
@@ -216,14 +202,14 @@ module Binary = struct
                   Some (s, p)
             in
             let headroom = match u8 () with 0 -> None | _ -> Some (f64 ()) in
-            let shard = shard () in
-            Event.Reject { time; id; reason; port; headroom; shard }
+            shard_trailer ();
+            Event.Reject { time; id; reason; port; headroom }
         | 4 ->
             let time = f64 () in
             let id = i64 () in
             let bw = f64 () in
-            let shard = shard () in
-            Event.Preempt { time; id; bw; shard }
+            shard_trailer ();
+            Event.Preempt { time; id; bw }
         | 8 ->
             let time = f64 () in
             let id = i64 () in
@@ -251,9 +237,8 @@ module Binary = struct
                   let segs = triples () in
                   (rid, segs))
             in
-            let shard = shard () in
-            Event.Reshape
-              { time; id; ingress; egress; volume; ts; tf; max_rate; profile; revised; shard }
+            shard_trailer ();
+            Event.Reshape { time; id; ingress; egress; volume; ts; tf; max_rate; profile; revised }
         | 5 ->
             let time = f64 () in
             let side = side () in

@@ -38,10 +38,25 @@ val of_recovered :
 (** Resume from a recovered store: re-book every surviving admission in
     decision order (bit-identical controller state), rebuild the decision
     table (accepted / rejected / cancelled) for [query], and audit the
-    recovered ledger against {!Gridbw_check.Reference} before serving —
-    [Error] describes the first violation if the journal is unsound.
-    Journals with preemptions (cancels) skip the whole-window reference
-    audit, like [gridbw recover] does, but still check ledger capacity. *)
+    recovered ledger with {!audit} before serving — [Error] describes
+    the first violation if the journal is unsound.  Journals with
+    capacity revisions or sheds past the prefix (fault-injector runs)
+    are refused. *)
+
+val audit :
+  Gridbw_store.Store.recovered -> Gridbw_alloc.Allocation.t list option * string list
+(** The recovery audit: the surviving bookings (every Accept minus the
+    bookings a later Preempt released, in decision order) and the
+    violations found, described.  The survivors are checked with
+    {!Gridbw_check.Reference.audit_allocations} on the initial fabric,
+    which is sound under any cancel history because every survivor was
+    admitted with all earlier survivors still booked; then the mirror
+    ledger must be within capacity.  [[]] violations = clean.  The
+    survivors are [None], and only the ledger is checked, when the
+    journal revises capacities past its prefix (capacity or shed events:
+    a fault-injector run), since those bookings were made against a
+    fabric that changed mid-run.  [gridbw recover] runs the same
+    audit. *)
 
 val handle : ?span:Gridbw_obs.Span.t -> t -> Protocol.request -> Protocol.response
 (** Decide one request.  Total: validation failures come back as typed

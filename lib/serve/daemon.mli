@@ -4,7 +4,7 @@
 
     One [select] round accepts new connections, reads every readable
     connection, decodes complete frames, and handles each request through
-    {!Admission}.  Responses of the round are {e held back} until the
+    {!Admission}, the daemon's only admission path.  Responses of the round are {e held back} until the
     store's group commit is forced ({!Gridbw_store.Store.flush}), so an
     acknowledged admit/cancel is on disk before the client can observe it
     (write-ack-after-fsync); one fsync covers every decision of the round.
@@ -19,8 +19,8 @@
     16.  EMFILE/ENFILE from [accept] pause the listener for one tick.
 
     Startup with an existing [--store-dir] recovers via the
-    {!Gridbw_store.Store.recover} path, audits against the reference
-    model, re-books the surviving admissions bit-identically and resumes
+    {!Gridbw_store.Store.recover} path, audits the surviving bookings
+    against the reference model, re-books the surviving admissions bit-identically and resumes
     serving.  {!stop} (wired to SIGTERM/SIGINT by
     {!install_signal_handlers}, and to the protocol's [shutdown] verb)
     drains pending output, flushes the WAL, writes a final snapshot and
@@ -46,15 +46,6 @@ type config = {
       (** crash-surviving span ring file ({!Gridbw_obs.Flight});
           enables tracing *)
   flight_size : int;  (** flight-recorder file size, bytes *)
-  shards : int option;
-      (** [Some n]: run the sharded multicore engine
-          ({!Gridbw_shard.Engine}) behind a {!Pool} of worker domains
-          instead of the single-threaded {!Admission} path.  Decisions
-          are journaled with their deciding shard id; recovery
-          re-partitions onto the configured count and audits each shard
-          against the reference model.  Request spans are not traced on
-          this path (workers observe the admit-search latency directly
-          as [serve_stage_admit_search_ns]). *)
 }
 
 val default_config :
@@ -65,7 +56,6 @@ val default_config :
   ?span_out:string ->
   ?flight_recorder:string ->
   ?flight_size:int ->
-  ?shards:int ->
   transport ->
   config
 (** Paper fabric, [Fraction_of_max 0.8] policy, default store config,
@@ -86,8 +76,8 @@ val create : ?obs:Gridbw_obs.Obs.ctx -> ?log:(string -> unit) -> config -> (t, s
     recovered, or the recovered journal fails its audit. *)
 
 val admission : t -> Admission.t
-(** The single-threaded admission state (tests poke it directly).
-    Raises [Invalid_argument] on a sharded ([shards = Some _]) daemon. *)
+(** The admission state every request goes through (tests poke it
+    directly). *)
 
 val run : t -> unit
 (** Serve until {!stop}; then drain, flush, snapshot, close.  Ignores

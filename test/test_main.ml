@@ -8,5 +8,5 @@ let () =
    @ Test_coalloc.suites @ Test_experiments.suites @ Test_properties.suites
    @ Test_extras.suites @ Test_transport.suites @ Test_validate.suites
    @ Test_edges.suites @ Test_fault.suites @ Test_obs.suites @ Test_conformance.suites
-   @ Test_store.suites @ Test_serve.suites @ Test_wire.suites @ Test_shard.suites
+   @ Test_store.suites @ Test_serve.suites @ Test_wire.suites
    @ Test_malleable.suites)

@@ -509,6 +509,111 @@ let admission_recovery_round_trip () =
                 to_cancel;
               Admission.close t2))
 
+(* A daemon journal with cancels: the cancel of request 1 frees the
+   ingress-0 capacity that request 2 then books, so every Accept taken
+   together overbooks the port, while the surviving bookings (the ones no
+   cancel released) fit.  The recovery audit checks the survivors, so
+   the journal audits clean, in the daemon and in [gridbw recover]. *)
+let daemon_journal_with_cancels_audits_clean () =
+  with_tmpdir (fun dir ->
+      let fabric = fabric2 () in
+      let store = Store.create ~config:(store_config ()) ~dir fabric in
+      let t = Admission.create ~store ~policy fabric in
+      let admit id ~ingress ~egress ~ts =
+        Admission.handle t
+          (Protocol.Admit { id; ingress; egress; volume = 800.; ts; tf = ts +. 10.; max_rate = 100. })
+      in
+      let cancel id =
+        match Admission.handle t (Protocol.Cancel { id }) with
+        | Protocol.Cancel_ok _ -> ()
+        | r -> Alcotest.failf "cancel %d failed: %a" id Protocol.pp_response r
+      in
+      let admitted = function Protocol.Admitted _ -> true | _ -> false in
+      Alcotest.(check bool) "request 1 admitted" true (admitted (admit 1 ~ingress:0 ~egress:0 ~ts:0.));
+      cancel 1;
+      Alcotest.(check bool) "request 2 reuses the freed capacity" true
+        (admitted (admit 2 ~ingress:0 ~egress:1 ~ts:0.));
+      (* more load on the same ports, every other admission cancelled *)
+      for id = 3 to 12 do
+        if admitted (admit id ~ingress:(id mod 2) ~egress:(id mod 2) ~ts:(float_of_int id))
+           && id mod 2 = 1
+        then cancel id
+      done;
+      Admission.flush t;
+      Admission.close t;
+      (match Store.recover ~config:(store_config ()) ~dir () with
+      | Error e -> Alcotest.fail e
+      | Ok r ->
+          let every_accept = List.map snd r.Store.accepted in
+          Alcotest.(check bool) "all Accepts together overbook a port" true
+            (Gridbw_check.Reference.audit_allocations fabric every_accept <> []);
+          let survivors, violations = Admission.audit r in
+          Alcotest.(check (list string)) "survivors audit clean" [] violations;
+          let survivors =
+            match survivors with Some s -> s | None -> Alcotest.fail "audit skipped"
+          in
+          let cancels =
+            List.length
+              (List.filter (function Gridbw_obs.Event.Preempt _ -> true | _ -> false) r.Store.events)
+          in
+          Alcotest.(check bool) "the journal has cancels" true (cancels >= 2);
+          Alcotest.(check int) "survivors = accepts - cancels"
+            (List.length every_accept - cancels) (List.length survivors);
+          (match Admission.of_recovered ~policy r with
+          | Error e -> Alcotest.failf "of_recovered refused a sound journal: %s" e
+          | Ok t2 -> Admission.close t2));
+      let exe =
+        Filename.concat (Filename.dirname Sys.executable_name)
+          (Filename.concat Filename.parent_dir_name (Filename.concat "bin" "gridbw.exe"))
+      in
+      let ic = Unix.open_process_args_in exe [| exe; "recover"; "--json"; dir |] in
+      let out = In_channel.input_all ic in
+      Alcotest.(check bool) "gridbw recover exits 0" true (Unix.close_process_in ic = Unix.WEXITED 0);
+      Alcotest.(check bool) ("recover --json reports clean: " ^ out) true
+        (contains ~affix:{|"audit":"clean"|} out))
+
+(* Surviving bookings that overbook a port must be refused even when the
+   journal has cancels (a cancel used to switch the audit off). *)
+let overbooked_survivors_refused () =
+  with_tmpdir (fun dir ->
+      let fabric = fabric2 () in
+      let store = Store.create ~config:(store_config ()) ~dir fabric in
+      let module Event = Gridbw_obs.Event in
+      let book id =
+        Store.log store
+          (Event.Arrival
+             { time = 0.; seq = id; id; ingress = 0; egress = id mod 2; volume = 700.; ts = 0.;
+               tf = 10.; max_rate = 70. });
+        Store.log store
+          (Event.Accept
+             { time = 0.; id; ingress = 0; egress = id mod 2; volume = 700.; ts = 0.; tf = 10.;
+               max_rate = 70.; bw = 70.; sigma = 0. })
+      in
+      book 0;
+      Store.log store (Event.Preempt { time = 0.; id = 0; bw = 70. });
+      book 1;
+      book 2;
+      Store.close store;
+      match Store.recover ~config:(store_config ()) ~dir () with
+      | Error e -> Alcotest.fail e
+      | Ok r -> (
+          let expected =
+            match
+              Gridbw_check.Reference.audit_allocations fabric
+                (List.filter_map
+                   (fun (_, (a : Gridbw_alloc.Allocation.t)) ->
+                     if a.Gridbw_alloc.Allocation.request.Request.id = 0 then None else Some a)
+                   r.Store.accepted)
+            with
+            | v :: _ -> Gridbw_check.Reference.describe v
+            | [] -> Alcotest.fail "bookings 1 and 2 should overbook ingress 0"
+          in
+          match Admission.of_recovered ~policy r with
+          | Ok _ -> Alcotest.fail "overbooked survivors accepted"
+          | Error msg ->
+              Alcotest.(check bool) ("names the violation: " ^ msg) true
+                (contains ~affix:expected msg && contains ~affix:"ingress port 0" msg)))
+
 let of_recovered_refuses_engine_journals () =
   with_tmpdir (fun dir ->
       let fabric = fabric2 () in
@@ -931,6 +1036,8 @@ let suites =
         case "query and cancel lifecycle" admission_query_and_cancel;
         case "journal, recover, bit-identical decisions" admission_recovery_round_trip;
         case "engine-driven journals refused" of_recovered_refuses_engine_journals;
+        case "a daemon journal with cancels audits clean" daemon_journal_with_cancels_audits_clean;
+        case "surviving bookings that overbook a port are refused" overbooked_survivors_refused;
       ] );
     ( "serve.flight",
       [

@@ -199,6 +199,53 @@ let test_flipped_byte_truncates () =
       Torn.flip_byte ~dir:scratch (target + 3);
       resume_and_check ~label:"flipped byte" ~expected ~dir:scratch requests)
 
+(* Snapshots written by the retired sharded daemon carry a "shard" key
+   on every decision line.  They must still load: a snapshot that fails
+   to parse is skipped, and recovery would fall back to a full WAL
+   replay. *)
+let test_snapshot_shard_keys_load () =
+  let requests = workload_of_seed ~n:30 17 in
+  with_tmpdir (fun tmp ->
+      let src = Filename.concat tmp "src" and dir = Filename.concat tmp "keyed" in
+      ignore (journal_run ~batch:4 ~snapshot_bytes:512 ~dir:src requests);
+      Torn.copy_store ~src ~dst:dir;
+      let keyed = ref 0 in
+      let add_key line =
+        if
+          List.exists
+            (fun kind -> String.starts_with ~prefix:(Printf.sprintf {|{"ev":"%s"|} kind) line)
+            [ "accept"; "reject"; "preempt"; "reshape" ]
+        then begin
+          incr keyed;
+          String.sub line 0 (String.length line - 1) ^ {|,"shard":1}|}
+        end
+        else line
+      in
+      Array.iter
+        (fun f ->
+          if Filename.check_suffix f ".json" && f <> "store.json" then begin
+            let path = Filename.concat dir f in
+            let lines =
+              String.split_on_char '\n' (In_channel.with_open_bin path In_channel.input_all)
+            in
+            Out_channel.with_open_bin path (fun oc ->
+                output_string oc (String.concat "\n" (List.map add_key lines)))
+          end)
+        (Sys.readdir dir);
+      Alcotest.(check bool) "decision lines were keyed" true (!keyed > 0);
+      let recovered dir =
+        match Store.recover ~config:(store_config ()) ~dir () with
+        | Error msg -> Alcotest.failf "%s: recovery failed: %s" dir msg
+        | Ok r ->
+            Store.close r.Store.store;
+            (r.Store.snapshot_cursor, r.Store.events)
+      in
+      let cursor, events = recovered dir in
+      let cursor0, events0 = recovered src in
+      Alcotest.(check bool) "recovery started from a snapshot" true (cursor > 0);
+      Alcotest.(check int) "the same snapshot as without the keys" cursor0 cursor;
+      Alcotest.(check bool) "the same events" true (events = events0))
+
 let test_snapshot_recovery () =
   let requests = workload_of_seed ~n:30 17 in
   let expected = baseline requests in
@@ -250,172 +297,6 @@ let test_double_crash () =
       Torn.truncate_at ~dir cut_b;
       resume_and_check ~label:"second crash" ~expected ~dir requests)
 
-(* --- the sharded crash leg ---
-
-   [gridbw serve --shards N] journals through the sharded engine: the
-   reserve phase of a cross-shard admission writes nothing, and the
-   single Accept record appended inside the freeze window is the commit
-   point for BOTH ports at once.  A SIGKILL between reserve and commit
-   therefore leaves either a fully-booked admission or no trace — never
-   one port booked and the other not.  This matrix carves a sharded
-   journal at every record boundary and mid-record (the same cuts a kill
-   can produce) and demands each carve recover to a state where every
-   surviving booking holds both its ports: the reference audit is clean,
-   each port counter equals the sum of the surviving still-active grants
-   on that side, and re-partitioning onto a different shard count
-   reproduces the same counters bit for bit. *)
-
-module Shard_engine = Gridbw_shard.Engine
-module Scenario = Gridbw_check.Scenario
-module Allocation = Gridbw_alloc.Allocation
-
-let sharded_workload () =
-  let module Rng = Gridbw_prng.Rng in
-  let rng = rng ~seed:23L () in
-  List.init 40 (fun id ->
-      (* most pairs straddle the two shards (ingress and egress of
-         different parities); modest rates so plenty get booked *)
-      let ingress = id mod 2 in
-      let egress = if id mod 3 = 0 then ingress else 1 - ingress in
-      let ts = Rng.float_in rng 0. 50. in
-      let dur = Rng.float_in rng 5. 40. in
-      let min_rate = Rng.float_in rng 5. 40. in
-      Request.make ~id ~ingress ~egress ~volume:(min_rate *. dur) ~ts ~tf:(ts +. dur)
-        ~max_rate:(min_rate *. 2.))
-
-let sharded_journal_run ~dir requests =
-  let t0 = List.fold_left (fun t (r : Request.t) -> Float.min t r.Request.ts) 0.0 requests in
-  let store = Store.create ~config:(store_config ~batch:4 ()) ~time:t0 ~dir (fabric2 ()) in
-  let engine = Shard_engine.create ~journal:store ~spawn:false ~shards:2 policy (fabric2 ()) in
-  let cross = ref 0 in
-  let accepted = ref [] in
-  List.iteri
-    (fun i (r : Request.t) ->
-      (match Shard_engine.try_admit engine r with
-      | Types.Accepted a ->
-          if r.Request.ingress mod 2 <> r.Request.egress mod 2 then incr cross;
-          accepted := a :: !accepted
-      | Types.Rejected _ -> ());
-      (* cancel-heavy: every few ops pull the most recent booking *)
-      if i mod 5 = 2 then
-        match !accepted with
-        | a :: rest ->
-            ignore (Shard_engine.cancel engine a);
-            accepted := rest
-        | [] -> ())
-    requests;
-  Shard_engine.flush engine;
-  Store.close store;
-  Alcotest.(check bool) "workload exercises cross-shard admissions" true (!cross > 0)
-
-(* The Accepts that were never preempted: [Store.recover]'s [accepted]
-   keeps preempted bookings (the Preempt releases the mirror-ledger
-   interval but the decision stands in history), so the set of bookings
-   the engine must still hold is re-derived from the event stream. *)
-let surviving_allocations events =
-  let tbl = Hashtbl.create 32 in
-  List.iter
-    (function
-      | Event.Accept { id; ingress; egress; volume; ts; tf; max_rate; bw; sigma; _ } ->
-          let request = Request.make ~id ~ingress ~egress ~volume ~ts ~tf ~max_rate in
-          Hashtbl.replace tbl id (Allocation.make ~request ~bw ~sigma)
-      | Event.Preempt { id; _ } -> Hashtbl.remove tbl id
-      | _ -> ())
-    events;
-  Hashtbl.fold (fun _ a acc -> a :: acc) tbl []
-
-let check_sharded_recovery ~label ~dir =
-  match Store.recover ~config:(store_config ()) ~dir () with
-  | Error msg -> Alcotest.failf "%s: recovery failed: %s" label msg
-  | Ok r ->
-      Fun.protect ~finally:(fun () -> Store.close r.Store.store) @@ fun () ->
-      let allocs = surviving_allocations r.Store.events in
-      (match Reference.audit_allocations (fabric2 ()) allocs with
-      | [] -> ()
-      | vs ->
-          Alcotest.failf "%s: %d audit violation(s) on the surviving bookings" label
-            (List.length vs));
-      if not (Ledger.within_capacity (Store.ledger r.Store.store)) then
-        Alcotest.failf "%s: recovered mirror ledger exceeds capacity" label;
-      let rebuild shards =
-        match
-          Shard_engine.of_events ~spawn:false ~shards ~policy ~fabric:r.Store.initial_fabric
-            r.Store.events
-        with
-        | Ok e -> e
-        | Error e -> Alcotest.failf "%s: of_events shards=%d: %s" label shards e
-      in
-      let e2 = rebuild 2 in
-      (* restore parks releases already due at the horizon: drain them
-         before reading counters *)
-      Shard_engine.settle e2;
-      (* both-booked-or-neither: every port counter must equal the sum of
-         the surviving active grants on that side — a half-committed
-         cross-shard admission would leave one side short *)
-      let now = Shard_engine.now e2 in
-      let exp_ing = Array.make 2 0. and exp_egr = Array.make 2 0. in
-      let active = ref 0 in
-      List.iter
-        (fun (a : Allocation.t) ->
-          if a.Allocation.tau > now then begin
-            incr active;
-            let r = a.Allocation.request in
-            exp_ing.(r.Request.ingress) <- exp_ing.(r.Request.ingress) +. a.Allocation.bw;
-            exp_egr.(r.Request.egress) <- exp_egr.(r.Request.egress) +. a.Allocation.bw
-          end)
-        allocs;
-      Alcotest.(check int)
-        (label ^ ": every surviving booking is active on both sides")
-        !active (Shard_engine.active_count e2);
-      for i = 0 to 1 do
-        let got = Shard_engine.ingress_used e2 i in
-        if Float.abs (got -. exp_ing.(i)) > 1e-9 then
-          Alcotest.failf "%s: ingress %d holds %.17g, surviving grants sum to %.17g" label i got
-            exp_ing.(i)
-      done;
-      for e = 0 to 1 do
-        let got = Shard_engine.egress_used e2 e in
-        if Float.abs (got -. exp_egr.(e)) > 1e-9 then
-          Alcotest.failf "%s: egress %d holds %.17g, surviving grants sum to %.17g" label e got
-            exp_egr.(e)
-      done;
-      (* and re-partitioning the same carve is exact *)
-      let e3 = rebuild 3 in
-      Shard_engine.settle e3;
-      for i = 0 to 1 do
-        if Shard_engine.ingress_used e3 i <> Shard_engine.ingress_used e2 i then
-          Alcotest.failf "%s: ingress %d differs under re-partitioning" label i
-      done;
-      for e = 0 to 1 do
-        if Shard_engine.egress_used e3 e <> Shard_engine.egress_used e2 e then
-          Alcotest.failf "%s: egress %d differs under re-partitioning" label e
-      done
-
-let test_sharded_crash_matrix () =
-  let requests = sharded_workload () in
-  with_tmpdir (fun tmp ->
-      let src = Filename.concat tmp "src" in
-      let scratch = Filename.concat tmp "carved" in
-      sharded_journal_run ~dir:src requests;
-      let boundaries, total = Torn.record_boundaries ~dir:src in
-      Alcotest.(check bool) "journal is non-trivial" true (List.length boundaries > n_prefix);
-      List.iteri
-        (fun kept boundary ->
-          let label = Printf.sprintf "sharded cut at record %d" kept in
-          let dir = carve ~src ~scratch boundary in
-          if kept < n_prefix then expect_prefix_error ~label ~dir
-          else check_sharded_recovery ~label ~dir;
-          let next =
-            match List.nth_opt boundaries (kept + 1) with Some b -> b | None -> total
-          in
-          if next > boundary + 1 then begin
-            let label = Printf.sprintf "sharded torn inside record %d" kept in
-            let dir = carve ~src ~scratch (boundary + ((next - boundary) / 2)) in
-            if kept < n_prefix then expect_prefix_error ~label ~dir
-            else check_sharded_recovery ~label ~dir
-          end)
-        boundaries)
-
 (* --- the malleable crash leg ---
 
    A journaled MALLEABLE run commits each profiled admission as ONE
@@ -428,6 +309,7 @@ let test_sharded_crash_matrix () =
    matrix additionally recovers every boundary and mid-record cut and
    audits the surviving profiled bookings. *)
 
+module Allocation = Gridbw_alloc.Allocation
 module Malleable = Gridbw_malleable.Malleable
 module Rate_profile = Gridbw_alloc.Rate_profile
 
@@ -608,7 +490,7 @@ let write_legacy_text_journal dir =
           tf = 10.; max_rate = 50. };
       Event.Accept
         { time = 0.; id = 1; ingress = 0; egress = 1; volume = 100.; ts = 0.; tf = 10.;
-          max_rate = 50.; bw = 10.; sigma = 0.; shard = None };
+          max_rate = 50.; bw = 10.; sigma = 0. };
     ]
   in
   let line ev =
@@ -779,9 +661,8 @@ let suites =
         case "crash matrix: every boundary and torn record (seed 17)" (crash_matrix 17);
         case "crash: flipped byte truncates at the CRC" test_flipped_byte_truncates;
         case "crash: snapshot + WAL tail recovery" test_snapshot_recovery;
+        case "snapshot: lines with a retired shard key still load" test_snapshot_shard_keys_load;
         case "crash: double crash, recover twice" test_double_crash;
-        case "crash matrix: sharded journal, cross-shard admissions both-booked-or-neither"
-          test_sharded_crash_matrix;
         case "crash matrix: malleable journal, reshape+admit both-or-neither"
           test_malleable_crash_matrix;
         case "metrics: store counters land in the registry" test_store_metrics;

@@ -55,18 +55,15 @@ let gen_event =
       let* ingress = gen_id and* egress = gen_id in
       let* volume = gen_float and* ts = gen_float and* tf = gen_float in
       let* max_rate = gen_float and* bw = gen_float and* sigma = gen_float in
-      let* shard = option gen_id in
-      return (Event.Accept { time; id; ingress; egress; volume; ts; tf; max_rate; bw; sigma; shard })
+      return (Event.Accept { time; id; ingress; egress; volume; ts; tf; max_rate; bw; sigma })
   | 3 ->
       let* time = gen_float and* id = gen_id and* reason = gen_reason in
       let* port = option (pair gen_side gen_id) in
       let* headroom = option gen_float in
-      let* shard = option gen_id in
-      return (Event.Reject { time; id; reason; port; headroom; shard })
+      return (Event.Reject { time; id; reason; port; headroom })
   | 4 ->
       let* time = gen_float and* id = gen_id and* bw = gen_float in
-      let* shard = option gen_id in
-      return (Event.Preempt { time; id; bw; shard })
+      return (Event.Preempt { time; id; bw })
   | 5 ->
       let* time = gen_float and* side = gen_side and* port = gen_id in
       let* excess = gen_float and* victims = gen_id in
@@ -81,10 +78,8 @@ let gen_event =
       let* volume = gen_float and* ts = gen_float and* tf = gen_float in
       let* max_rate = gen_float and* profile = gen_triples in
       let* revised = array_size (int_range 0 2) (pair gen_id gen_triples) in
-      let* shard = option gen_id in
       return
-        (Event.Reshape
-           { time; id; ingress; egress; volume; ts; tf; max_rate; profile; revised; shard })
+        (Event.Reshape { time; id; ingress; egress; volume; ts; tf; max_rate; profile; revised })
   | _ ->
       let* time = gen_float and* pending = gen_id in
       return (Event.Dispatch { time; pending })
@@ -98,20 +93,20 @@ let exemplars =
         ts = 0.; tf = 10.; max_rate = 12.5 };
     Event.Accept
       { time = 2.; id = 7; ingress = 1; egress = 2; volume = 100.; ts = 0.;
-        tf = 10.; max_rate = 12.5; bw = 10.; sigma = 2.; shard = None };
+        tf = 10.; max_rate = 12.5; bw = 10.; sigma = 2. };
     Event.Accept
       { time = 2.5; id = 11; ingress = 1; egress = 2; volume = 10.; ts = 0.;
-        tf = 10.; max_rate = 12.5; bw = 2.; sigma = 2.5; shard = Some 2 };
+        tf = 10.; max_rate = 12.5; bw = 2.; sigma = 2.5 };
     Event.Reject
       { time = 3.; id = 8; reason = "spike"; port = Some (Event.Egress, 4);
-        headroom = Some 0.25; shard = Some 0 };
+        headroom = Some 0.25 };
     Event.Reject
-      { time = 3.5; id = 9; reason = "deadline"; port = None; headroom = None; shard = None };
-    Event.Preempt { time = 4.; id = 7; bw = 10.; shard = Some 1 };
+      { time = 3.5; id = 9; reason = "deadline"; port = None; headroom = None };
+    Event.Preempt { time = 4.; id = 7; bw = 10. };
     Event.Reshape
       { time = 4.5; id = 12; ingress = 0; egress = 1; volume = 30.; ts = 4.5; tf = 20.;
         max_rate = 10.; profile = [| (5., 8., 10.) |];
-        revised = [| (11, [| (2.5, 4.5, 2.); (8., 12., 1.5) |]) |]; shard = None };
+        revised = [| (11, [| (2.5, 4.5, 2.); (8., 12., 1.5) |]) |] };
     Event.Shed { time = 5.; side = Event.Ingress; port = 0; excess = 12.; victims = 2 };
     Event.Capacity { time = 0.; side = Event.Egress; port = 3; capacity = 100. };
     Event.Dispatch { time = 6.; pending = 11 };
@@ -133,6 +128,49 @@ let test_exemplar_roundtrips () =
       | Ok ev' -> Alcotest.check event_testable "json round-trip" ev ev'
       | Error msg -> Alcotest.failf "json: %s" msg)
     exemplars
+
+(* Journals written by the retired sharded engine end every decision
+   record with a [0x01 <i64 LE shard id>] trailer.  Such records still
+   decode, to the same event without the id; any other trailer is
+   corrupt, and a non-decision record takes no trailer at all. *)
+let test_shard_trailer_dropped () =
+  let trailer tag =
+    let b = Buffer.create 9 in
+    Buffer.add_char b (Char.chr tag);
+    Buffer.add_int64_le b 3L;
+    Buffer.contents b
+  in
+  let framed body =
+    let b = Buffer.create 128 in
+    Frame.add b ~tag:Event_codec.frame_tag body;
+    Buffer.contents b
+  in
+  let decisions =
+    List.filter
+      (function
+        | Event.Accept _ | Event.Reject _ | Event.Preempt _ | Event.Reshape _ -> true
+        | _ -> false)
+      exemplars
+  in
+  Alcotest.(check int) "every decision constructor" 6 (List.length decisions);
+  List.iter
+    (fun ev ->
+      let body = Event_codec.Binary.body_of ev in
+      (match Event_codec.Binary.decode (framed (body ^ trailer 0x01)) ~pos:0 with
+      | Codec.Value (ev', _) -> Alcotest.check event_testable "trailer dropped" ev ev'
+      | _ -> Alcotest.failf "%s with a shard trailer does not decode" (Event.kind ev));
+      Alcotest.(check bool)
+        (Event.kind ev ^ ": bare body is the same event")
+        true
+        (Event_codec.Binary.of_body (body ^ trailer 0x01) = Ok ev);
+      match Event_codec.Binary.of_body (body ^ trailer 0x02) with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%s: unknown trailer tag accepted" (Event.kind ev))
+    decisions;
+  let arrival = List.hd exemplars in
+  match Event_codec.Binary.of_body (Event_codec.Binary.body_of arrival ^ trailer 0x01) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "an arrival record took a shard trailer"
 
 (* --- frame-level corruption and truncation --- *)
 
@@ -267,6 +305,8 @@ let suites =
         prop_bitflip_never_passes;
         prop_truncation_is_incomplete;
         case "frame: tag byte validated by record codecs" test_frame_tag_validation;
+        case "a retired shard-id trailer on a decision record is read and dropped"
+          test_shard_trailer_dropped;
         prop_export_round_trip;
         prop_export_damage_names_record;
       ] );
